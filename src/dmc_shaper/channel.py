@@ -165,7 +165,10 @@ class SubsetMask:
             raise ValueError("index out of range")
         bits = np.zeros(m, dtype=bool)
         bits[idx] = True
-        return cls(bits=bits, k=int(bits.sum()))
+        k = int(bits.sum())
+        if k != idx.size:
+            raise ValueError(f"{idx.size - k} duplicate indices")
+        return cls(bits=bits, k=k)
 
     @classmethod
     def full(cls, m: int) -> "SubsetMask":

@@ -115,6 +115,20 @@ def enumerate_qpsk_inputs(t: int) -> np.ndarray:
     return QPSK_POINTS[digits] / np.sqrt(2.0 * t)
 
 
+def qpsk_rotation(t: int) -> np.ndarray:
+    """Input permutation of the rotation x -> jx on the 4^T QPSK inputs.
+
+    Entry i is the index of j * x_i. Per antenna, j maps the points
+    0, 1, 2, 3 to 2, 0, 3, 1. The rotation commutes with H and with the
+    circular noise, and it maps the sign quadrants onto each other, so the
+    transition rows of j * x are an output relabelling of those of x.
+    """
+    m = 4**t
+    weights = 4 ** np.arange(t)
+    digits = (np.arange(m)[:, None] // weights) % 4
+    return np.array([2, 0, 3, 1])[digits] @ weights
+
+
 def _signed_components(h: ComplexChannelMatrix, xs: np.ndarray) -> np.ndarray:
     """Real/imaginary parts of H x, interleaved per output bit position."""
     g = xs @ h.entries.T  # (..., N)

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import DmcChannel, SubsetMask
+from .mimo import qpsk_rotation
 from .rates import cutoff_rate
 
 ROUNDING_METHODS = ("randomized", "eigen")
@@ -94,61 +94,138 @@ def embed(a: GramMatrix) -> np.ndarray:
     return b
 
 
-def _affine_project(s: np.ndarray, k: int) -> np.ndarray:
-    """Closest symmetric matrix with S_nn = 1, S_ii = S_in, sum_i S_ni = k+1.
+# Orbit coordinates pay off from this M on: on a 2-core x86 box, 300
+# iterations on Z4-invariant Gram matrices took 0.14/0.18/0.23/0.32 ms per
+# iteration plain and 0.23/0.21/0.21/0.25 orbit-wise at M = 16/24/28/32.
+# The QPSK rotation exists only for M = 4^T, so M = 16 stays plain.
+_REDUCE_MIN_M = 32
+_INVARIANCE_TOL = 1e-12
 
-    Only the diagonal, the last row/column, and the corner are constrained,
-    so the projection is closed-form in those coordinates.
+
+def _input_orbits(b_mat: np.ndarray) -> np.ndarray:
+    """(g, r) array whose row o lists the inputs (o, 0), ..., (o, r-1).
+
+    Input (o, a) is the a-th rotation x -> j^a x of the orbit's first input.
+    The rotation is used (r = 4) when M = 4^T reaches ``_REDUCE_MIN_M`` and
+    the embedded matrix is invariant under it; otherwise r = 1.
     """
-    m = s.shape[0] - 1
-    out = s.copy()
-    d0 = np.diag(s)[:m]
-    v0 = s[:m, m]
-    w = (d0 + 2.0 * v0) / 3.0
-    v = w - (w.sum() - k) / m
-    out[m, m] = 1.0
-    idx = np.arange(m)
-    out[idx, idx] = v
-    out[:m, m] = v
-    out[m, :m] = v
+    m = b_mat.shape[0] - 1
+    t = round(math.log(m, 4))
+    if m < _REDUCE_MIN_M or 4**t != m:
+        return np.arange(m)[:, None]
+    perm = np.append(qpsk_rotation(t), m)
+    if np.abs(b_mat[np.ix_(perm, perm)] - b_mat).max() > _INVARIANCE_TOL:
+        return np.arange(m)[:, None]
+    powers = [np.arange(m)]
+    for _ in range(3):
+        powers.append(perm[powers[-1]])
+    orbits = np.stack(powers, axis=1)
+    return orbits[orbits.min(axis=1) == orbits[:, 0]]
+
+
+def _reduce(mat: np.ndarray, orbits: np.ndarray) -> np.ndarray:
+    """Orbit coordinates (r, g+1, g+1) of an invariant (M+1) x (M+1) matrix.
+
+    Block d holds c[d][o, o'] = S[(o, a), (o', a + d)]; the border s[o] =
+    S[(o, a), M] and the corner t = S[M, M] sit in row and column g of block
+    0, and the borders of the other blocks are zero. With r = 1 this is the
+    matrix itself.
+    """
+    g, r = orbits.shape
+    m = mat.shape[0] - 1
+    rows = np.append(orbits[:, 0], m)
+    out = np.zeros((r, g + 1, g + 1))
+    out[0] = mat[np.ix_(rows, rows)]
+    for d in range(1, r):
+        out[d, :g, :g] = mat[np.ix_(orbits[:, 0], orbits[:, d])]
     return out
 
 
-def _psd_project(s: np.ndarray, rank_hint: int | None = None) -> tuple[np.ndarray, int]:
-    """Project onto the PSD cone; returns (projection, positive count).
+def _expand(x: np.ndarray, orbits: np.ndarray) -> np.ndarray:
+    """Inverse of ``_reduce``: the full matrix in the original input order."""
+    g, r = orbits.shape
+    m = g * r
+    out = np.empty((m + 1, m + 1))
+    for a in range(r):
+        for d in range(r):
+            out[np.ix_(orbits[:, a], orbits[:, (a + d) % r])] = x[d, :g, :g]
+        out[orbits[:, a], m] = x[0, :g, g]
+        out[m, orbits[:, a]] = x[0, g, :g]
+    out[m, m] = x[0, g, g]
+    return out
 
-    When a rank hint says the positive part is small, only the top slice of
-    the spectrum is computed; if the slice turns out entirely positive the
-    hint was too small and the full decomposition runs instead.
+
+def _affine_project(x: np.ndarray, k: int) -> np.ndarray:
+    """Closest point with S_nn = 1, S_ii = S_in, sum_i S_ni = k+1.
+
+    Only the diagonal, the last row/column, and the corner are constrained,
+    so the projection is closed-form in those coordinates. Works on orbit
+    coordinates, where every orbit value stands for r entries.
     """
-    sym = (s + s.T) / 2.0
-    n = sym.shape[0]
-    # The sliced solver only wins while the positive part is genuinely small.
-    if (
-        rank_hint is not None
-        and 0 < rank_hint + 8 < n
-        and rank_hint + 8 <= max(16, n // 6)
-    ):
-        w, q = scipy.linalg.eigh(
-            sym, subset_by_index=[n - (rank_hint + 8), n - 1],
-            driver="evr", check_finite=False,
-        )
-        if w[0] <= 0.0:
-            pos = w > 0.0
-            wp = w[pos]
-            qp = q[:, pos]
-            return (qp * wp) @ qp.T, int(pos.sum())
-    w, q = scipy.linalg.eigh(sym, driver="evd", overwrite_a=True, check_finite=False)
-    count = int((w > 0.0).sum())
-    np.maximum(w, 0.0, out=w)
-    return (q * w) @ q.T, count
+    r, n, _ = x.shape
+    g = n - 1
+    out = x.copy()
+    d0 = np.diag(x[0])[:g]
+    v0 = x[0, :g, g]
+    w = (d0 + 2.0 * v0) / 3.0
+    v = w - (r * w.sum() - k) / (r * g)
+    out[0, g, g] = 1.0
+    idx = np.arange(g)
+    out[0, idx, idx] = v
+    out[0, :g, g] = v
+    out[0, g, :g] = v
+    return out
 
 
-def _constraint_violation(s: np.ndarray, k: int) -> float:
-    m = s.shape[0] - 1
-    diag_vs_border = np.abs(np.diag(s)[:m] - s[:m, m]).max()
-    corner = abs(s[m, m] - 1.0)
-    border_sum = abs(s[m, :].sum() - (k + 1))
+def _clip(a: np.ndarray) -> np.ndarray:
+    """Nearest PSD (Hermitian) matrix to the Hermitian part of ``a``."""
+    w, q = np.linalg.eigh((a + a.conj().T) / 2.0)
+    pos = w > 0.0
+    qp = q[:, pos]
+    return (qp * w[pos]) @ qp.conj().T
+
+
+def _psd_project(x: np.ndarray) -> np.ndarray:
+    """Project orbit coordinates onto the PSD cone of the full matrix.
+
+    A length-4 DFT over d block-diagonalizes the invariant matrix: frequency
+    0 is the real block sum_d c[d] bordered by 2s and t, frequency 2 the real
+    block sum_d (-1)^d c[d], frequency 1 the Hermitian block
+    (c[0] - c[2]) + j (c[1] - c[3]), and frequency 3 its conjugate. Each
+    block is clipped on its own and the DFT undone.
+    """
+    r, n, _ = x.shape
+    if r == 1:
+        return _clip(x[0])[None]
+    g = n - 1
+    c = x[:, :g, :g]
+    f0 = x.sum(axis=0)
+    f0[:g, g] *= 2.0
+    f0[g, :g] *= 2.0
+    p0 = _clip(f0)
+    p2 = _clip(c[0] - c[1] + c[2] - c[3])
+    p1 = _clip((c[0] - c[2]) + 1j * (c[1] - c[3]))
+    even = (p0[:g, :g] + p2) / 4.0
+    odd = (p0[:g, :g] - p2) / 4.0
+    re = p1.real / 2.0
+    im = p1.imag / 2.0
+    out = np.zeros_like(x)
+    out[0, :g, :g] = even + re
+    out[1, :g, :g] = odd + im
+    out[2, :g, :g] = even - re
+    out[3, :g, :g] = odd - im
+    out[0, :g, g] = p0[:g, g] / 2.0
+    out[0, g, :g] = p0[g, :g] / 2.0
+    out[0, g, g] = p0[g, g]
+    return out
+
+
+def _constraint_violation(x: np.ndarray, k: int) -> float:
+    r, n, _ = x.shape
+    g = n - 1
+    diag_vs_border = np.abs(np.diag(x[0])[:g] - x[0, :g, g]).max()
+    corner = abs(x[0, g, g] - 1.0)
+    border_sum = abs(r * x[0, g, :g].sum() + x[0, g, g] - (k + 1))
     return max(diag_vs_border, corner, border_sum)
 
 
@@ -167,6 +244,11 @@ def solve_sdp(
     penalty parameter self-tunes by residual balancing. Terminates when both
     the max affine violation of the PSD iterate (plus the splitting gap) and
     the dual step fall below ``tol``.
+
+    When B is invariant under the QPSK input rotation (see ``_input_orbits``)
+    every iterate is too, so the loop stores one value per orbit of entries
+    and projects three Fourier blocks of size about M/4; the iterates and
+    residuals equal the plain loop's up to rounding.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -178,24 +260,29 @@ def solve_sdp(
     if not (1 <= k <= m):
         raise ValueError(f"k must be in [1, {m}], got {k}")
 
+    orbits = _input_orbits(b_mat)
+    g, r = orbits.shape
+    b_red = _reduce(b_mat, orbits)
+
     # Start from the covariance of a uniformly random k-subset lift: feasible
     # for every constraint and PSD.
-    off = k * (k - 1) / (m * (m - 1)) if m > 1 else 1.0
-    z = np.full((n, n), off)
-    idx = np.arange(m)
-    z[idx, idx] = k / m
-    z[:m, m] = k / m
-    z[m, :m] = k / m
-    z[m, m] = 1.0
-    u = np.zeros((n, n))
+    off = k * (k - 1) / (m * (m - 1))
+    z = np.zeros((r, g + 1, g + 1))
+    z[:, :g, :g] = off
+    idx = np.arange(g)
+    z[0, idx, idx] = k / m
+    z[0, :g, g] = k / m
+    z[0, g, :g] = k / m
+    z[0, g, g] = 1.0
+    u = np.zeros_like(z)
 
     primal = dual = math.inf
     iterations = 0
-    rank_hint: int | None = None
+    converged = False
     for iterations in range(1, max_iter + 1):
-        x = _affine_project(z - u - b_mat / rho, k)
+        x = _affine_project(z - u - b_red / rho, k)
         x_hat = alpha * x + (1.0 - alpha) * z
-        z_new, rank_hint = _psd_project(x_hat + u, rank_hint)
+        z_new = _psd_project(x_hat + u)
         u += x_hat - z_new
         primal = max(
             _constraint_violation(z_new, k), float(np.abs(x - z_new).max())
@@ -203,14 +290,8 @@ def solve_sdp(
         dual = rho * float(np.abs(z_new - z).max())
         z = z_new
         if max(primal, dual) < tol:
-            return SdpSolution(
-                s_hat=z,
-                objective=float((b_mat * z).sum()),
-                primal_residual=primal,
-                dual_residual=dual,
-                iterations=iterations,
-                converged=True,
-            )
+            converged = True
+            break
         if iterations % 10 == 0:
             if primal > 10.0 * dual and rho < 1e6:
                 rho *= 2.0
@@ -219,13 +300,14 @@ def solve_sdp(
                 rho /= 2.0
                 u *= 2.0
 
+    s_hat = _expand(z, orbits)
     return SdpSolution(
-        s_hat=z,
-        objective=float((b_mat * z).sum()),
+        s_hat=s_hat,
+        objective=float((b_mat * s_hat).sum()),
         primal_residual=primal,
         dual_residual=dual,
         iterations=iterations,
-        converged=False,
+        converged=converged,
     )
 
 

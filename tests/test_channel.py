@@ -120,6 +120,10 @@ class TestSubsetMask:
         with pytest.raises(ValueError):
             SubsetMask.from_indices(4, [0, 7])
 
+    def test_duplicate_index(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            SubsetMask.from_indices(16, [0, 0, 5, 10])
+
 
 class TestRestrict:
     def test_full_mask_is_identity(self):

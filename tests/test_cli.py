@@ -254,6 +254,17 @@ class TestCodedBer:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_duplicate_mask_indices_rejected(self, capsys, h_file, tmp_path):
+        mask_file = tmp_path / "mask.json"
+        mask_file.write_text(json.dumps({"M": 16, "indices": [0, 0, 5, 10]}))
+        code, out, err = run_cli(
+            capsys, "coded-ber", "--h-matrix", h_file, "--mask", str(mask_file),
+            "--snr-db", "0", "--n", "24", "--total-rate", "1.0",
+        )
+        assert code == 1
+        assert out == ""
+        assert "duplicate" in err
+
     def test_full_mask_keyword(self, capsys, h_file):
         code, out, _ = run_cli(
             capsys, "coded-ber", "--h-matrix", h_file, "--mask", "full",

@@ -15,7 +15,7 @@ from dmc_shaper import (
     sample_receive,
     sample_receive_many,
 )
-from dmc_shaper.mimo import output_index_from_signs
+from dmc_shaper.mimo import output_index_from_signs, qpsk_rotation
 
 
 def random_h(n, t, seed):
@@ -146,6 +146,18 @@ class TestBuildQuantizedMimo:
         b = build_quantized_mimo(neg, snr)
         flip = (2**4 - 1) - np.arange(2**4)
         np.testing.assert_allclose(b.trans, a.trans[:, flip], rtol=1e-12)
+
+    def test_rotation_symmetry(self):
+        # x -> jx relabels the inputs and, through the sign quadrants, the
+        # outputs; every row of jx is a column permutation of the row of x.
+        for t in (1, 2, 3):
+            perm = qpsk_rotation(t)
+            xs = enumerate_qpsk_inputs(t)
+            np.testing.assert_allclose(xs[perm], 1j * xs, atol=1e-15)
+            ch = build_quantized_mimo(random_h(t, t, seed=t), SnrPoint.from_db(5.0))
+            np.testing.assert_allclose(
+                np.sort(ch.trans[perm], axis=1), np.sort(ch.trans, axis=1), rtol=1e-12
+            )
 
     def test_log_linear_agreement(self):
         h = random_h(2, 2, seed=9)

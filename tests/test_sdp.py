@@ -29,7 +29,8 @@ from dmc_shaper import (
     sdp_select,
     solve_sdp,
 )
-from dmc_shaper.sdp import SdpSolution
+from dmc_shaper.mimo import qpsk_rotation
+from dmc_shaper.sdp import SdpSolution, _input_orbits
 
 
 def bsc(p):
@@ -140,15 +141,51 @@ class TestSolveSdp:
             assert sol.converged
             assert sol.objective <= boolean_minimum(g.a, 4) + 1e-5
 
-    def test_solution_invariants_at_convergence(self):
-        ch = small_mimo_channel(seed=321)
-        sol = solve_sdp(embed(build_gram(ch)), k=4, tol=1e-7, max_iter=20_000)
+    # Desk instances 21 and 33 have degenerate spectra that once broke a
+    # sliced LAPACK eigensolver.
+    @pytest.mark.parametrize(
+        ("seed", "tol"),
+        [(321, 1e-7), ([9000, 21], 1e-8), ([9000, 33], 1e-8)],
+        ids=["seed321", "desk21", "desk33"],
+    )
+    def test_solution_invariants_at_convergence(self, seed, tol):
+        g = build_gram(small_mimo_channel(seed=seed))
+        sol = solve_sdp(embed(g), k=4, tol=tol, max_iter=20_000)
+        assert sol.converged
+        assert sol.objective <= boolean_minimum(g.a, 4) + 1e-5
         s = sol.s_hat
         n = s.shape[0]
         assert np.linalg.eigvalsh(s).min() >= -1e-7
         assert abs(s[n - 1, n - 1] - 1.0) <= 1e-6
         assert np.abs(np.diag(s)[: n - 1] - s[: n - 1, n - 1]).max() <= 1e-6
         assert abs(s[n - 1, :].sum() - 5.0) <= 1e-5
+
+    def test_rotation_reduction_matches_plain_solve(self):
+        rng = np.random.default_rng(64)
+        gains = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) * np.sqrt(0.5)
+        ch = build_quantized_mimo(ComplexChannelMatrix(gains), SnrPoint.from_db(5.0))
+        b = embed(build_gram(ch))
+        m = ch.num_inputs
+        # A random relabelling of the inputs hides the rotation.
+        relabel = np.append(rng.permutation(m), m)
+        b_relabelled = b[np.ix_(relabel, relabel)]
+        assert _input_orbits(b).shape == (m // 4, 4)
+        assert _input_orbits(b_relabelled).shape == (m, 1)
+
+        reduced = solve_sdp(b, k=4, tol=1e-6, max_iter=20_000)
+        plain = solve_sdp(b_relabelled, k=4, tol=1e-6, max_iter=20_000)
+        assert reduced.converged and plain.converged
+        assert reduced.iterations == plain.iterations
+        assert reduced.objective == pytest.approx(plain.objective, abs=1e-8)
+        undo = np.empty_like(relabel)
+        undo[relabel] = np.arange(m + 1)
+        assert np.abs(plain.s_hat[np.ix_(undo, undo)] - reduced.s_hat).max() <= 1e-6
+        rot = np.append(qpsk_rotation(3), m)
+        np.testing.assert_array_equal(reduced.s_hat[np.ix_(rot, rot)], reduced.s_hat)
+
+    def test_generic_channel_not_reduced(self):
+        b = embed(build_gram(random_channel(64, 64, seed=3)))
+        assert _input_orbits(b).shape == (64, 1)
 
     def test_nonconvergence_flag(self):
         ch = small_mimo_channel(seed=350)
