@@ -24,7 +24,6 @@ from .channel import (
     load_channel,
     save_channel,
 )
-from .ldpc import build_ldpc
 from .link import average_ber_records, run_coded_ber
 from .mimo import ComplexChannelMatrix, SnrPoint, build_quantized_mimo, example_h4x4, load_h_matrix
 from .rates import blahut_arimoto, uniform_subset_rate
@@ -258,8 +257,6 @@ def cmd_coded_ber(args: argparse.Namespace) -> int:
         max_frames=args.max_frames,
     )
     merged = average_ber_records(records) if len(seeds) > 1 else records
-    q = mask.k.bit_length() - 1
-    code_rate = build_ldpc(args.n, args.total_rate / q, seed=seeds[0]).rate
     lines = [CSV_HEADER_COMMENT, "snr_db,k,code_rate,frames,bit_errors,ber"]
     for rec in merged:
         lines.append(
@@ -267,7 +264,7 @@ def cmd_coded_ber(args: argparse.Namespace) -> int:
                 [
                     _fmt(rec.snr_db),
                     str(mask.k),
-                    _fmt(code_rate),
+                    _fmt(rec.code_rate),
                     str(rec.frames),
                     str(rec.bit_errors),
                     _fmt(rec.ber),

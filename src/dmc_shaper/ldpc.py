@@ -32,22 +32,46 @@ class LdpcCode:
     message_positions: np.ndarray
     rate: float
 
-    # Edge structure for message passing, derived once.
+    # Edge structure for message passing, derived once. Edges are numbered
+    # in row-major order of h. Slot tables list, per check or per variable,
+    # its edges (or variables) in that order, one slot per row of the table,
+    # padded with the index one past the end.
     _edge_check: np.ndarray = field(init=False, repr=False)
     _edge_var: np.ndarray = field(init=False, repr=False)
-    _row_starts: np.ndarray = field(init=False, repr=False)
-    _col_order: np.ndarray = field(init=False, repr=False)
-    _col_starts: np.ndarray = field(init=False, repr=False)
+    _row_edges: np.ndarray = field(init=False, repr=False)  # (max row weight, m)
+    _row_vars: np.ndarray = field(init=False, repr=False)  # (max row weight, m)
+    _col_edges: np.ndarray = field(init=False, repr=False)  # (max column weight, n)
+    # The generator as float64: BLAS sums its 0/1 products as exact integers.
+    _generator_f: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         chk, var = np.nonzero(self.h)
+        counts = np.bincount(chk, minlength=self.m_checks)
+        col_counts = np.bincount(var, minlength=self.n)
+        # A check without edges constrains nothing and a variable without
+        # edges is never checked: reject such a matrix here rather than
+        # decode with it.
+        if not counts.all():
+            raise ValueError(f"check rows {np.flatnonzero(counts == 0).tolist()} have no edges")
+        if not col_counts.all():
+            raise ValueError(
+                f"variable columns {np.flatnonzero(col_counts == 0).tolist()} have no edges"
+            )
+        n_edges = chk.shape[0]
+        edges = np.arange(n_edges)
+        slot = edges - (np.cumsum(counts) - counts)[chk]
+        self._row_edges = np.full((counts.max(), self.m_checks), n_edges)
+        self._row_edges[slot, chk] = edges
+        self._row_vars = np.full(self._row_edges.shape, self.n)
+        self._row_vars[slot, chk] = var
+        col_order = np.lexsort((chk, var))
+        by_col = var[col_order]
+        slot = edges - (np.cumsum(col_counts) - col_counts)[by_col]
+        self._col_edges = np.full((col_counts.max(), self.n), n_edges)
+        self._col_edges[slot, by_col] = col_order
         self._edge_check = chk
         self._edge_var = var
-        counts = np.bincount(chk, minlength=self.m_checks)
-        self._row_starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        self._col_order = np.lexsort((chk, var))
-        col_counts = np.bincount(var, minlength=self.n)
-        self._col_starts = np.concatenate(([0], np.cumsum(col_counts)))[:-1]
+        self._generator_f = np.asarray(self.generator, dtype=np.float64)
 
     @property
     def n(self) -> int:
@@ -67,7 +91,8 @@ class LdpcCode:
             raise ValueError(
                 f"message must have length {self.message_length}, got {message.shape}"
             )
-        return (message.astype(np.int64) @ self.generator & 1).astype(np.uint8)
+        sums = message.astype(np.float64) @ self._generator_f
+        return (sums.astype(np.int64) & 1).astype(np.uint8)
 
 
 class RankDeficientError(ValueError):
@@ -174,47 +199,107 @@ class BpResult:
     iterations: int
 
 
-def bp_decode(code: LdpcCode, llrs: np.ndarray, max_iter: int = 100) -> BpResult:
-    """Flooding sum-product decoding of bit-1 log-odds.
+@dataclass(frozen=True)
+class BpBatchResult:
+    """Per-frame outcome of ``bp_decode_batch``, one row or entry per frame."""
 
-    Declares convergence when every parity check is satisfied and every
-    belief is nonzero (exact-zero beliefs leave the hard decision arbitrary,
-    so they never count as converged).
+    bits: np.ndarray  # (B, n) uint8
+    converged: np.ndarray  # (B,) bool
+    iterations: np.ndarray  # (B,) int64
+
+
+def bp_decode(code: LdpcCode, llrs: np.ndarray, max_iter: int = 100) -> BpResult:
+    """Flooding sum-product decoding of one frame of bit-1 log-odds.
+
+    The one-frame view of ``bp_decode_batch``, which documents the schedule
+    and the convergence rule.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.shape != (code.n,):
         raise ValueError(f"need {code.n} LLRs, got {llrs.shape}")
-    # Work in the classical log(P0/P1) orientation.
-    lam = -llrs
+    res = bp_decode_batch(code, llrs[None, :], max_iter=max_iter)
+    return BpResult(
+        bits=res.bits[0], converged=bool(res.converged[0]), iterations=int(res.iterations[0])
+    )
+
+
+def bp_decode_batch(
+    code: LdpcCode, llrs: np.ndarray, max_iter: int = 100
+) -> BpBatchResult:
+    """Flooding sum-product decoding of a (B, n) array of bit-1 log-odds.
+
+    Each row is one frame. A frame converges when every parity check is
+    satisfied and every belief is nonzero (exact-zero beliefs leave the hard
+    decision arbitrary, so they never count as converged); it then leaves the
+    working arrays, so later iterations only cost the frames still failing.
+    Every operation is elementwise or within one frame, so each row's bits,
+    ``converged`` and ``iterations`` equal those of decoding it alone.
+
+    A check's product runs over its edges in order, and a variable's
+    incoming sum is its first edge plus the sum of the others: the
+    associations of ``np.multiply.reduceat`` and ``np.add.reduceat`` over
+    edge segments, whose results these match bit for bit.
+    """
+    llrs = np.asarray(llrs, dtype=np.float64)
+    if llrs.ndim != 2 or llrs.shape[1] != code.n:
+        raise ValueError(f"need (frames, {code.n}) LLRs, got {llrs.shape}")
+    n = code.n
+    n_edges = code._edge_check.shape[0]
     chk = code._edge_check
     var = code._edge_var
-    row_starts = code._row_starts
-    col_order = code._col_order
-    col_starts = code._col_starts
 
+    # Working arrays hold one column per frame still decoding, so slot-table
+    # gathers copy contiguous rows. Log(P0/P1) orientation throughout.
+    lam = -llrs.T
+    bits = (llrs > 0.0).astype(np.uint8)
+    converged = np.zeros(llrs.shape[0], dtype=bool)
+    iterations = np.full(llrs.shape[0], max_iter, dtype=np.int64)
+    live = np.arange(llrs.shape[0])  # batch row of each working column
     var_to_chk = lam[var]
-    bits = (lam < 0.0).astype(np.uint8)
     for iteration in range(1, max_iter + 1):
-        t = np.tanh(0.5 * np.clip(var_to_chk, -LLR_CLIP, LLR_CLIP))
+        frames = live.shape[0]
+        # Edge arrays end in a pad row: 1 under products, 0 under sums.
+        t = np.empty((n_edges + 1, frames))
+        t[-1] = 1.0
+        edge_t = t[:-1]
+        np.clip(var_to_chk, -LLR_CLIP, LLR_CLIP, out=edge_t)
+        edge_t *= 0.5
+        np.tanh(edge_t, out=edge_t)
         zero = t == 0.0
-        t_safe = np.where(zero, 1.0, t)
-        prod = np.multiply.reduceat(t_safe, row_starts)
-        n_zero = np.add.reduceat(zero.astype(np.int64), row_starts)
-        p_edge = prod[chk]
-        z_edge = n_zero[chk]
-        excl = np.where(
-            z_edge == 0,
-            p_edge / t_safe,
-            np.where((z_edge == 1) & zero, p_edge, 0.0),
-        )
-        chk_to_var = 2.0 * np.arctanh(np.clip(excl, -_TANH_LIMIT, _TANH_LIMIT))
+        has_zero = zero.any()
+        if has_zero:
+            t[zero] = 1.0
+        prod = np.multiply.reduce(t[code._row_edges], axis=0)
+        excl = prod[chk]
+        excl /= edge_t
+        if has_zero:
+            z_edge = zero[code._row_edges].sum(axis=0)[chk]
+            excl = np.where(
+                z_edge == 0,
+                excl,
+                np.where((z_edge == 1) & zero[:-1], prod[chk], 0.0),
+            )
+        chk_to_var = np.empty((n_edges + 1, frames))
+        chk_to_var[-1] = 0.0
+        edge_c = chk_to_var[:-1]
+        np.clip(excl, -_TANH_LIMIT, _TANH_LIMIT, out=edge_c)
+        np.arctanh(edge_c, out=edge_c)
+        edge_c *= 2.0
 
-        incoming = np.add.reduceat(chk_to_var[col_order], col_starts)
-        total = lam + incoming
-        bits = (total < 0.0).astype(np.uint8)
-        syndrome = np.add.reduceat(bits[var], row_starts) & 1
-        if not syndrome.any() and np.all(total != 0.0):
-            return BpResult(bits=bits, converged=True, iterations=iteration)
-        var_to_chk = total[var] - chk_to_var
+        slots = chk_to_var[code._col_edges]
+        total = lam + (slots[0] + np.add.reduce(slots[1:], axis=0))
+        hard = np.zeros((n + 1, frames), dtype=np.uint8)
+        np.less(total, 0.0, out=hard[:-1], casting="unsafe")
+        bits[live] = hard[:-1].T
+        unsatisfied = np.bitwise_xor.reduce(hard[code._row_vars], axis=0).any(axis=0)
+        done = ~unsatisfied & (total != 0.0).all(axis=0)
+        if done.any():
+            converged[live[done]] = True
+            iterations[live[done]] = iteration
+            keep = ~done
+            if not keep.any():
+                break
+            live, lam, total, edge_c = live[keep], lam[:, keep], total[:, keep], edge_c[:, keep]
+        var_to_chk = total[var] - edge_c
 
-    return BpResult(bits=bits, converged=False, iterations=max_iter)
+    return BpBatchResult(bits=bits, converged=converged, iterations=iterations)

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .channel import DmcChannel, SubsetMask
-from .ldpc import LLR_CLIP, bp_decode, build_ldpc
+# bp_decode stays importable from here: perfbench/spans.py traces it by this name.
+from .ldpc import LLR_CLIP, bp_decode, bp_decode_batch, build_ldpc  # noqa: F401
 from .mimo import (
     ComplexChannelMatrix,
     SnrPoint,
@@ -24,6 +25,10 @@ from .mimo import (
     enumerate_qpsk_inputs,
     sample_receive_many,
 )
+
+
+# Frames decoded together; bounds the (frames, edges) BP working arrays.
+_FRAME_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,7 @@ class BerRecord:
     frame_errors: int
     frames: int
     ber: float
+    code_rate: float
     seed: int | None = None
 
 
@@ -146,6 +152,7 @@ def average_ber_records(records: list[BerRecord]) -> list[BerRecord]:
                 frame_errors=sum(r.frame_errors for r in group),
                 frames=sum(r.frames for r in group),
                 ber=errs / bits if bits else 0.0,
+                code_rate=group[0].code_rate,
                 seed=None,
             )
         )
@@ -166,10 +173,16 @@ def run_coded_ber(
     """Coded BER sweep: one record per (seed, SNR point).
 
     Per frame: encode a random message, map code bits onto selected inputs,
-    draw the quantized outputs, compute LLRs from the analytic channel, and
-    decode. Each point stops at ``min_frame_errors`` or at ``max_frames``.
-    Frame RNG streams derive from (seed, frame index), so the same noise is
-    reused across SNR points.
+    draw the quantized outputs, look up their LLRs, and decode. LLRs depend
+    only on the point and the received output, so each point computes one
+    table over all outputs with ``compute_llrs_block``; log-sum-exp works row
+    by row, so its entries equal the per-frame values bitwise. Frames are
+    decoded together by ``bp_decode_batch``, in batches no larger than the
+    frame errors still missing: a frame adds at most one, so a batch never
+    runs past the stopping rule (``min_frame_errors`` or ``max_frames``) and
+    the records equal those of a frame-by-frame loop. Frame RNG streams
+    derive from (seed, frame index), message first and then noise, so the
+    same noise is reused across SNR points.
     """
     lab = SymbolLabeling.from_mask(mask)
     q = lab.bits_per_symbol
@@ -189,22 +202,25 @@ def run_coded_ber(
         for snr_db in snr_db_list:
             snr = SnrPoint.from_db(float(snr_db))
             ch = build_quantized_mimo(h, snr)
+            llr_table = compute_llrs_block(ch, lab, np.arange(ch.num_outputs))
             bit_errors = 0
             frame_errors = 0
             frames = 0
             while frames < max_frames and frame_errors < min_frame_errors:
-                rng = np.random.default_rng([seed, frames])
-                message = rng.integers(0, 2, size=k_msg, dtype=np.uint8)
-                codeword = code.encode(message)
-                symbols, _ = map_bits(codeword, lab)
-                xs = table[symbols]
-                y = sample_receive_many(h, xs, snr, rng)
-                llrs = compute_llrs_block(ch, lab, y).ravel()[: code.n]
-                decoded = bp_decode(code, llrs, max_iter=bp_max_iter)
-                errs = int((decoded.bits[code.message_positions] != message).sum())
-                bit_errors += errs
-                frame_errors += int(errs > 0)
-                frames += 1
+                batch = min(max_frames - frames, min_frame_errors - frame_errors, _FRAME_BATCH)
+                messages = np.empty((batch, k_msg), dtype=np.uint8)
+                llrs = np.empty((batch, code.n))
+                for i in range(batch):
+                    rng = np.random.default_rng([seed, frames + i])
+                    messages[i] = rng.integers(0, 2, size=k_msg, dtype=np.uint8)
+                    symbols, _ = map_bits(code.encode(messages[i]), lab)
+                    y = sample_receive_many(h, table[symbols], snr, rng)
+                    llrs[i] = llr_table[y].ravel()[: code.n]
+                decoded = bp_decode_batch(code, llrs, max_iter=bp_max_iter)
+                errs = (decoded.bits[:, code.message_positions] != messages).sum(axis=1)
+                bit_errors += int(errs.sum())
+                frame_errors += int(np.count_nonzero(errs))
+                frames += batch
             bits_sent = frames * k_msg
             records.append(
                 BerRecord(
@@ -214,6 +230,7 @@ def run_coded_ber(
                     frame_errors=frame_errors,
                     frames=frames,
                     ber=bit_errors / bits_sent if bits_sent else 0.0,
+                    code_rate=code.rate,
                     seed=int(seed),
                 )
             )

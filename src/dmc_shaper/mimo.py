@@ -26,6 +26,10 @@ from .channel import DmcChannel, _freeze
 QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128)
 
 DEFAULT_ALPHABET_CAP = 1 << 16
+# Largest float64 M x L transition matrix a build may ask for (1 GiB). The
+# channel holds two such matrices plus temporaries of the same size, so the
+# per-alphabet cap alone would admit a T=N=8 build of 34 GB per matrix.
+_MAX_MATRIX_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -154,6 +158,11 @@ def build_quantized_mimo(
     if m > max_alphabet or l > max_alphabet:
         raise ValueError(
             f"alphabet sizes {m}x{l} exceed the configured cap {max_alphabet}"
+        )
+    if m * l * 8 > _MAX_MATRIX_BYTES:
+        raise ValueError(
+            f"a {m}x{l} transition matrix needs {m * l * 8} bytes, over the "
+            f"{_MAX_MATRIX_BYTES}-byte budget"
         )
     xs = enumerate_qpsk_inputs(t)
     comp = _signed_components(h, xs)  # (M, 2N)

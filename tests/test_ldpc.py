@@ -7,7 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
-from dmc_shaper import bp_decode, build_ldpc
+from dmc_shaper import LdpcCode, bp_decode, build_ldpc
+from dmc_shaper.ldpc import bp_decode_batch
 
 
 class TestBuildLdpc:
@@ -73,6 +74,25 @@ class TestBuildLdpc:
         with pytest.raises(ValueError):
             build_ldpc(100, 1.0)
 
+    @pytest.mark.parametrize(
+        "h, match",
+        [
+            ([[1, 1, 0], [0, 0, 0], [0, 1, 1]], "check rows \\[1\\]"),
+            ([[1, 1, 0], [0, 1, 1], [0, 0, 0]], "check rows \\[2\\]"),
+            ([[1, 0, 0], [1, 0, 1]], "variable columns \\[1\\]"),
+        ],
+        ids=["empty-middle-row", "empty-last-row", "empty-column"],
+    )
+    def test_hand_built_code_without_edges_rejected(self, h, match):
+        h = np.array(h, dtype=np.uint8)
+        with pytest.raises(ValueError, match=match):
+            LdpcCode(
+                h=h,
+                generator=np.zeros((1, h.shape[1]), dtype=np.uint8),
+                message_positions=np.array([0]),
+                rate=1 / h.shape[1],
+            )
+
     def test_degenerate_construction_fails_after_retries(self):
         # Two checks and weight-2 columns force identical rows: rank 1 < 2.
         with pytest.raises(ValueError, match="10 attempts"):
@@ -133,7 +153,31 @@ class TestBpDecode:
         assert not res.converged
         assert res.iterations == 15
 
+    @pytest.mark.parametrize("with_zero_row", [False, True], ids=["nonzero", "zero-row"])
+    def test_batch_rows_match_lone_decodes(self, with_zero_row):
+        # Rows converge at different iterations or hit max_iter; a row of
+        # zero LLRs also sends the whole batch through the zero-belief path.
+        code = build_ldpc(96, 0.5, col_weight=3, seed=31)
+        rng = np.random.default_rng(5)
+        msg = rng.integers(0, 2, size=code.message_length, dtype=np.uint8)
+        sign = np.where(code.encode(msg) == 1, 1.0, -1.0)
+        sigmas = np.linspace(0.0, 2.4, 12)
+        llrs = 2.0 * sign + sigmas[:, None] * rng.standard_normal((12, code.n))
+        if with_zero_row:
+            llrs[5] = 0.0
+        batch = bp_decode_batch(code, llrs, max_iter=20)
+        lone = [bp_decode(code, row, max_iter=20) for row in llrs]
+        iters = {r.iterations for r in lone if r.converged}
+        assert len(iters) >= 2
+        assert any(not r.converged and r.iterations == 20 for r in lone)
+        for i, r in enumerate(lone):
+            np.testing.assert_array_equal(batch.bits[i], r.bits)
+            assert batch.converged[i] == r.converged
+            assert batch.iterations[i] == r.iterations
+
     def test_wrong_length_rejected(self):
         code = build_ldpc(30, 0.5, col_weight=3, seed=23)
         with pytest.raises(ValueError):
             bp_decode(code, np.zeros(10))
+        with pytest.raises(ValueError):
+            bp_decode_batch(code, np.zeros(code.n))

@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmc_shaper import (
+    BerRecord,
     ComplexChannelMatrix,
     DmcChannel,
     SnrPoint,
     SubsetMask,
     SymbolLabeling,
+    bp_decode,
+    build_ldpc,
     build_quantized_mimo,
     compute_llrs,
     compute_llrs_block,
@@ -229,3 +232,65 @@ class TestRunCodedBer:
         assert rec.bits_sent == rec.frames * 12
         assert rec.ber == rec.bit_errors / rec.bits_sent
         assert rec.frame_errors >= 3 or rec.frames == 50
+
+    @staticmethod
+    def _frame_by_frame(h, mask, snr_db_list, n, total_rate, seeds, min_frame_errors, max_frames):
+        """Reference: one frame at a time, LLRs computed per frame."""
+        lab = SymbolLabeling.from_mask(mask)
+        table = enumerate_qpsk_inputs(h.n_tx)
+        records = []
+        for seed in seeds:
+            code = build_ldpc(n, total_rate / lab.bits_per_symbol, col_weight=3, seed=seed)
+            for snr_db in snr_db_list:
+                snr = SnrPoint.from_db(snr_db)
+                ch = build_quantized_mimo(h, snr)
+                bit_errors = frame_errors = frames = 0
+                while frames < max_frames and frame_errors < min_frame_errors:
+                    rng = np.random.default_rng([seed, frames])
+                    message = rng.integers(0, 2, size=code.message_length, dtype=np.uint8)
+                    symbols, _ = map_bits(code.encode(message), lab)
+                    y = sample_receive_many(h, table[symbols], snr, rng)
+                    llrs = compute_llrs_block(ch, lab, y).ravel()[: code.n]
+                    decoded = bp_decode(code, llrs)
+                    errs = int((decoded.bits[code.message_positions] != message).sum())
+                    bit_errors += errs
+                    frame_errors += int(errs > 0)
+                    frames += 1
+                bits_sent = frames * code.message_length
+                records.append(
+                    BerRecord(
+                        snr_db=snr_db, bits_sent=bits_sent, bit_errors=bit_errors,
+                        frame_errors=frame_errors, frames=frames,
+                        ber=bit_errors / bits_sent, code_rate=code.rate, seed=seed,
+                    )
+                )
+        return records
+
+    @pytest.mark.parametrize(
+        "snr_db_list, seeds, min_frame_errors, max_frames, stop",
+        [
+            ([2.0], (5,), 70, 400, "errors"),
+            ([2.0], (5,), 1000, 150, "frames"),
+            ([0.0, 10.0], (3, 4), 20, 90, None),
+        ],
+        ids=["min-frame-errors", "max-frames", "multi-seed"],
+    )
+    def test_matches_frame_by_frame_reference(
+        self, snr_db_list, seeds, min_frame_errors, max_frames, stop
+    ):
+        h = random_h(2, 2, seed=85)
+        mask = SubsetMask.from_indices(16, [1, 6, 11, 12])
+        args = (h, mask, snr_db_list, 24, 1.0, seeds, min_frame_errors, max_frames)
+        want = self._frame_by_frame(*args)
+        got = run_coded_ber(
+            h, mask, snr_db_list, n=24, total_rate=1.0, seeds=seeds,
+            min_frame_errors=min_frame_errors, max_frames=max_frames,
+        )
+        assert got == want
+        if stop == "errors":
+            # Stopped by errors after more than one full batch, mid-way
+            # through what would have been the next one.
+            assert want[0].frame_errors == min_frame_errors
+            assert 64 < want[0].frames < max_frames and want[0].frames % 64
+        elif stop == "frames":
+            assert want[0].frames == max_frames and 0 < want[0].frame_errors < min_frame_errors

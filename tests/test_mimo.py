@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,19 @@ class TestBuildQuantizedMimo:
     def test_alphabet_cap(self):
         with pytest.raises(ValueError, match="cap"):
             build_quantized_mimo(random_h(2, 2, seed=1), SnrPoint.from_db(0.0), max_alphabet=8)
+
+    def test_matrix_byte_budget(self):
+        # T=N=8 passes the per-alphabet cap (M=L=2^16) but needs a 34 GB
+        # matrix; it must be refused before anything of that size exists.
+        h = random_h(8, 8, seed=2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="byte budget"):
+                build_quantized_mimo(h, SnrPoint.from_db(0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSampleReceive:
