@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .mimo import ComplexChannelMatrix, SnrPoint, build_quantized_mimo, example_
 from .rates import blahut_arimoto, uniform_subset_rate
 from .sdp import RoundingConfig, sdp_select
 from .subset_search import BsaConfig, bsa_select, evaluate_mask, exhaustive_select
+from .subset_search import check_bsa_size, check_exhaustive_size
 
 CSV_HEADER_COMMENT = f"# dmc-shaper v{__version__}"
 
@@ -175,10 +175,7 @@ def _sweep_point(
         seed = _derived_seed(args.seed, snr_idx, cfg_idx)
         if method == "exhaustive":
             # Each column reports the optimum of its own criterion.
-            _, rate_val = exhaustive_select(ch, k, "rate")
-            _, cutoff_val = exhaustive_select(ch, k, "cutoff")
-            _, ser_val = exhaustive_select(ch, k, "ser")
-            triple = (rate_val, cutoff_val, ser_val)
+            triple = [exhaustive_select(ch, k, crit)[1] for crit in ("rate", "cutoff", "ser")]
         else:
             if method == "full":
                 mask = full
@@ -215,6 +212,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not (2 <= k <= m):
             raise ValueError(f"k={k} out of range for an alphabet of {m} inputs")
     configs = [(k, method) for k in ks for method in methods]
+    # Fail before the first SNR point rather than after the earlier ones ran.
+    for k, method in configs:
+        if method == "bsa":
+            check_bsa_size(m, k)
+        elif method == "exhaustive":
+            check_exhaustive_size(m, k)
 
     header = ["snr_db", "capacity_ba", "rate_uniform_full"]
     for k, method in configs:
@@ -222,17 +225,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             [f"rate_k{k}_{method}", f"cutoff_k{k}_{method}", f"ser_k{k}_{method}"]
         )
 
-    workers = max(1, int(os.environ.get("DMC_SHAPER_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda item: _sweep_point(h, item[1], item[0], configs, args),
-                    enumerate(snrs),
-                )
-            )
-    else:
-        rows = [_sweep_point(h, snr, i, configs, args) for i, snr in enumerate(snrs)]
+    rows = [_sweep_point(h, snr, i, configs, args) for i, snr in enumerate(snrs)]
 
     lines = [CSV_HEADER_COMMENT, ",".join(header)]
     lines.extend(",".join(cells) for cells in rows)

@@ -184,6 +184,9 @@ def run_coded_ber(
     derive from (seed, frame index), message first and then noise, so the
     same noise is reused across SNR points.
     """
+    seeds = tuple(seeds)
+    if not seeds or min_frame_errors < 1 or max_frames < 1:
+        raise ValueError("need a code seed, and min_frame_errors and max_frames of at least 1")
     lab = SymbolLabeling.from_mask(mask)
     q = lab.bits_per_symbol
     code_rate = total_rate / q

@@ -4,6 +4,12 @@ channel capacity via alternating maximization (Blahut-Arimoto).
 
 All rates are in bits per channel use. Conventions: 0*log(0) = 0 and
 sqrt(0) = 0 throughout; ML argmax ties break toward the smallest input index.
+
+Each subset criterion has one formula, a ``batch_*`` function that takes an
+integer index stack of shape (..., K), rows of ascending input indices, and
+returns one value per row; the scalar functions call it on ``mask.indices``.
+The rate is log2 K + (sum_{x in S} r(x) - sum_y d(y) ln d(y)) / (K ln 2) with
+the row term r(x) = sum_y P(y|x) ln P(y|x) and d(y) = sum_{x in S} P(y|x).
 """
 
 from __future__ import annotations
@@ -24,6 +30,12 @@ def _check_mask(ch: DmcChannel, mask: SubsetMask) -> np.ndarray:
     return mask.indices
 
 
+def _row_plogp(ch: DmcChannel) -> np.ndarray:
+    """Row term sum_y P(y|x) ln P(y|x) of every input, in nats."""
+    safe_log = np.where(ch.trans > 0.0, ch.log_trans, 0.0)
+    return (ch.trans * safe_log).sum(axis=1)
+
+
 def mutual_information(ch: DmcChannel, p: InputDistribution) -> float:
     """I(X;Y) in bits for input pmf p over the channel inputs."""
     if len(p) != ch.num_inputs:
@@ -42,54 +54,66 @@ def mutual_information(ch: DmcChannel, p: InputDistribution) -> float:
     return float(probs[rows] @ terms.sum(axis=1)) / _LN2
 
 
-def uniform_subset_rate(ch: DmcChannel, mask: SubsetMask) -> float:
-    """Mutual information achieved by the uniform prior on the selected inputs.
+def batch_rate(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
+    """Uniform-prior mutual information of each subset in a (..., K) stack."""
+    k = idx.shape[-1]
+    denom = ch.trans[idx].sum(axis=-2)
+    dlogd = denom * np.log(np.where(denom > 0.0, denom, 1.0))  # 0 where d(y) = 0
+    row_sum = _row_plogp(ch)[idx].sum(axis=-1)
+    return math.log2(k) + (row_sum - dlogd.sum(axis=-1)) / (k * _LN2)
 
-    Evaluated in the algebraic form log2(K) + (1/K) * sum_y sum_{x in subset}
-    P(y|x) * log2(P(y|x) / sum_{x' in subset} P(y|x')).
+
+def cutoff_bits(k: int, bhattacharyya_sum):
+    """2*log2(K) - log2(B): the cutoff rate for B = sum_y [sum_x sqrt(P(y|x))]^2."""
+    return 2.0 * math.log2(k) - np.log2(bhattacharyya_sum)
+
+
+def batch_cutoff_rate(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
+    """Cutoff rate of each subset in a (..., K) stack."""
+    col = np.sqrt(ch.trans)[idx].sum(axis=-2)
+    return cutoff_bits(idx.shape[-1], (col * col).sum(axis=-1))
+
+
+def batch_ser(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
+    """ML symbol error rate of each subset in a (..., K) stack."""
+    return 1.0 - ch.trans[idx].max(axis=-2).sum(axis=-1) / idx.shape[-1]
+
+
+def batch_misdetect(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
+    """Per-input ML misdetection cost of each subset in a (..., K) stack.
+
+    Entry [..., j] is the mass P(y|x_j) summed over outputs won by another
+    input of the same subset. Argmax ties go to the smallest index, so their
+    mass counts against every later tied input.
     """
-    sel = _check_mask(ch, mask)
-    k = mask.k
-    sub = ch.trans[sel]
-    denom = sub.sum(axis=0)
-    log_denom = np.log(np.where(denom > 0.0, denom, 1.0))
-    log_sub = np.where(sub > 0.0, ch.log_trans[sel], 0.0)
-    terms = sub * (log_sub - log_denom[None, :])
-    return math.log2(k) + float(terms.sum()) / (k * _LN2)
+    sub = ch.trans[idx]
+    k, l = sub.shape[-2:]
+    flat = sub.reshape(-1, k, l)
+    won = np.zeros((flat.shape[0], k))
+    # add.at sums in output order; a masked pairwise sum moves the last bits,
+    # which reorders near-tied costs in bsa_select's swap order.
+    np.add.at(won, (np.arange(flat.shape[0])[:, None], flat.argmax(axis=1)), flat.max(axis=1))
+    return (flat.sum(axis=2) - won).reshape(sub.shape[:-1])
+
+
+def uniform_subset_rate(ch: DmcChannel, mask: SubsetMask) -> float:
+    """Mutual information achieved by the uniform prior on the selected inputs."""
+    return float(batch_rate(ch, _check_mask(ch, mask)))
 
 
 def ser_ml(ch: DmcChannel, mask: SubsetMask) -> float:
     """Symbol error rate of ML decoding under the uniform prior on the subset."""
-    sel = _check_mask(ch, mask)
-    best = ch.trans[sel].max(axis=0)
-    return 1.0 - float(best.sum()) / mask.k
+    return float(batch_ser(ch, _check_mask(ch, mask)))
 
 
 def per_symbol_misdetect(ch: DmcChannel, mask: SubsetMask) -> np.ndarray:
-    """Misdetection probability of each selected input under ML decoding.
-
-    Entry j covers the j-th selected input (ascending index order): the mass
-    P(y|x_j) summed over outputs won by a different selected input. Argmax
-    ties go to the smallest input index, so their mass counts against every
-    later tied input.
-    """
-    sel = _check_mask(ch, mask)
-    sub = ch.trans[sel]
-    # argmax returns the first maximum; sel is ascending, so ties resolve low.
-    winner = sub.argmax(axis=0)
-    won_mass = np.zeros(mask.k)
-    np.add.at(won_mass, winner, sub[winner, np.arange(sub.shape[1])])
-    return sub.sum(axis=1) - won_mass
+    """ML misdetection probability of each selected input, ascending order."""
+    return batch_misdetect(ch, _check_mask(ch, mask))
 
 
 def cutoff_rate(ch: DmcChannel, mask: SubsetMask) -> float:
-    """Cutoff rate of the subset under the uniform prior, in bits:
-    2*log2(K) - log2( sum_y [ sum_{x in subset} sqrt(P(y|x)) ]^2 ).
-    """
-    sel = _check_mask(ch, mask)
-    k = mask.k
-    col = np.sqrt(ch.trans[sel]).sum(axis=0)
-    return 2.0 * math.log2(k) - math.log2(float(col @ col))
+    """Cutoff rate of the subset under the uniform prior, in bits."""
+    return float(batch_cutoff_rate(ch, _check_mask(ch, mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +151,7 @@ def blahut_arimoto(ch: DmcChannel, tol: float = 1e-9, max_iter: int = 200_000) -
     trans = ch.trans
     m = ch.num_inputs
     # Row "negative entropy" sum_y P log P is constant across iterations.
-    safe_log = np.where(trans > 0.0, ch.log_trans, 0.0)
-    row_plogp = (trans * safe_log).sum(axis=1)
+    row_plogp = _row_plogp(ch)
 
     p = np.full(m, 1.0 / m)
     p_eval = p

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import DmcChannel, SubsetMask
 from .mimo import qpsk_rotation
-from .rates import cutoff_rate
+from .rates import cutoff_bits, cutoff_rate
 
 ROUNDING_METHODS = ("randomized", "eigen")
 
@@ -407,10 +407,7 @@ def sdp_select(
     sol = solve_sdp(b_mat, k, tol=tol, max_iter=max_iter)
     v = psd_factorize(sol)
     mask, rounded_obj = round_solution(v, k, b_mat, cfg)
-    if sol.objective > 0.0:
-        bound = 2.0 * math.log2(k) - math.log2(sol.objective)
-    else:
-        bound = math.inf
+    bound = float(cutoff_bits(k, sol.objective)) if sol.objective > 0.0 else math.inf
     return SdpSelectResult(
         mask=mask,
         cutoff_rate_bits=cutoff_rate(ch, mask),

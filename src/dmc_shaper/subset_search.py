@@ -15,12 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rates
 from .channel import DmcChannel, SubsetMask
 from .rates import cutoff_rate, ser_ml, uniform_subset_rate
 
 EXHAUSTIVE_GUARD = 10**7
 
-CRITERIA = ("rate", "ser", "cutoff")
+# Criterion name -> batched evaluator. SER is minimized, the two rates maximized.
+_SCORERS = {"rate": rates.batch_rate, "ser": rates.batch_ser, "cutoff": rates.batch_cutoff_rate}
+CRITERIA = tuple(_SCORERS)
 
 
 @dataclass(frozen=True)
@@ -52,34 +55,41 @@ class BsaResult:
     final_sers: tuple[float, ...]
 
 
-def _ser_of_rows(sub: np.ndarray) -> float:
-    return 1.0 - float(sub.max(axis=0).sum()) / sub.shape[0]
+def check_bsa_size(m: int, k: int) -> None:
+    """Raise ValueError unless switching search can pick k of m inputs."""
+    if not (2 <= k < m):
+        raise ValueError(f"k must be in [2, {m - 1}], got {k}")
 
 
-def _misdetect_costs(sub: np.ndarray) -> np.ndarray:
-    winner = sub.argmax(axis=0)
-    won = np.zeros(sub.shape[0])
-    np.add.at(won, winner, sub[winner, np.arange(sub.shape[1])])
-    return sub.sum(axis=1) - won
+def check_exhaustive_size(m: int, k: int) -> None:
+    """Raise ValueError unless exhaustive search over C(m, k) subsets is allowed."""
+    if not (2 <= k <= m):
+        raise ValueError(f"k must be in [2, {m}], got {k}")
+    n_subsets = math.comb(m, k)
+    if n_subsets > EXHAUSTIVE_GUARD:
+        raise ValueError(
+            f"C({m},{k}) = {n_subsets} subsets exceeds the guard {EXHAUSTIVE_GUARD}"
+        )
 
 
 def _local_search(
-    trans: np.ndarray, sel: np.ndarray, max_passes: int
+    ch: DmcChannel, sel: np.ndarray, max_passes: int
 ) -> tuple[np.ndarray, float, bool]:
     """Run switching passes from the given subset until no swap improves."""
+    trans = ch.trans
     m = trans.shape[0]
     k = sel.shape[0]
     all_inputs = np.arange(m)
     passes = 0
     sub = trans[sel]
-    cur = _ser_of_rows(sub)
+    cur = float(rates.batch_ser(ch, sel))
     while True:
         best_rows = sub.argmax(axis=0)
         best = sub[best_rows, np.arange(sub.shape[1])]
         masked = sub.copy()
         masked[best_rows, np.arange(sub.shape[1])] = -np.inf
         second = masked.max(axis=0)
-        costs = _misdetect_costs(sub)
+        costs = rates.batch_misdetect(ch, sel)
         # Highest cost first; position index breaks ties (sel is ascending).
         order = np.lexsort((np.arange(k), -costs))
         outside = np.setdiff1d(all_inputs, sel, assume_unique=True)
@@ -110,8 +120,7 @@ def bsa_select(ch: DmcChannel, cfg: BsaConfig) -> BsaResult:
     optimum over all restarts wins.
     """
     m = ch.num_inputs
-    if not (2 <= cfg.k < m):
-        raise ValueError(f"k must be in [2, {m - 1}], got {cfg.k}")
+    check_bsa_size(m, cfg.k)
     best_sel: np.ndarray | None = None
     best_ser = math.inf
     truncated = False
@@ -120,8 +129,8 @@ def bsa_select(ch: DmcChannel, cfg: BsaConfig) -> BsaResult:
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.rng_seed, restart])
         sel = np.sort(rng.choice(m, size=cfg.k, replace=False))
-        initial.append(_ser_of_rows(ch.trans[sel]))
-        sel, ser, trunc = _local_search(ch.trans, sel, cfg.max_passes)
+        initial.append(float(rates.batch_ser(ch, sel)))
+        sel, ser, trunc = _local_search(ch, sel, cfg.max_passes)
         final.append(ser)
         truncated = truncated or trunc
         if ser < best_ser:
@@ -139,10 +148,7 @@ def bsa_select(ch: DmcChannel, cfg: BsaConfig) -> BsaResult:
 
 def _combo_chunks(m: int, k: int, chunk: int):
     it = itertools.combinations(range(m), k)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
+    while block := list(itertools.islice(it, chunk)):
         yield np.asarray(block, dtype=np.intp)
 
 
@@ -158,44 +164,20 @@ def exhaustive_select(
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     m = ch.num_inputs
-    if not (2 <= k <= m):
-        raise ValueError(f"k must be in [2, {m}], got {k}")
-    n_subsets = math.comb(m, k)
-    if n_subsets > EXHAUSTIVE_GUARD:
-        raise ValueError(
-            f"C({m},{k}) = {n_subsets} subsets exceeds the guard {EXHAUSTIVE_GUARD}"
-        )
-
-    trans = ch.trans
-    l = ch.num_outputs
-    maximize = criterion != "ser"
-    if criterion == "rate":
-        safe_log = np.where(trans > 0.0, ch.log_trans, 0.0)
-        row_plogp = (trans * safe_log).sum(axis=1)
-    elif criterion == "cutoff":
-        sqrt_trans = np.sqrt(trans)
-
-    best_val = -math.inf if maximize else math.inf
+    check_exhaustive_size(m, k)
+    # Negation is exact, so maximizing sign * value keeps the values' bits.
+    sign = -1.0 if criterion == "ser" else 1.0
+    best_val = -math.inf
     best_combo: np.ndarray | None = None
-    chunk = max(1, int(4_000_000 / (k * l)))
+    chunk = max(1, int(4_000_000 / (k * ch.num_outputs)))
     for combos in _combo_chunks(m, k, chunk):
-        if criterion == "ser":
-            vals = 1.0 - trans[combos].max(axis=1).sum(axis=1) / k
-        elif criterion == "cutoff":
-            col = sqrt_trans[combos].sum(axis=1)
-            vals = 2.0 * math.log2(k) - np.log2((col * col).sum(axis=1))
-        else:
-            denom = trans[combos].sum(axis=1)
-            g = np.where(denom > 0.0, denom * np.log(np.where(denom > 0.0, denom, 1.0)), 0.0)
-            vals = math.log2(k) + (
-                row_plogp[combos].sum(axis=1) - g.sum(axis=1)
-            ) / (k * math.log(2.0))
-        i = int(vals.argmax() if maximize else vals.argmin())
-        if (maximize and vals[i] > best_val) or (not maximize and vals[i] < best_val):
+        vals = sign * _SCORERS[criterion](ch, combos)
+        i = int(vals.argmax())
+        if vals[i] > best_val:
             best_val = float(vals[i])
             best_combo = combos[i]
     assert best_combo is not None
-    return SubsetMask.from_indices(m, best_combo), best_val
+    return SubsetMask.from_indices(m, best_combo), sign * best_val
 
 
 def evaluate_mask(ch: DmcChannel, mask: SubsetMask) -> dict[str, float]:

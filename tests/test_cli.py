@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from dmc_shaper import __version__
+from dmc_shaper import __version__, cli
 from dmc_shaper.cli import main
 
 
@@ -228,14 +228,28 @@ class TestSweep:
         assert code == 1
         assert "out of range" in err
 
-    def test_thread_cap_does_not_change_output(self, capsys, h_file, monkeypatch):
-        args = ["sweep", "--h-matrix", h_file, "--snr-db", "0,5,10", "--k", "4",
-                "--methods", "bsa", "--seed", "4", "--ba-tol", "1e-6"]
-        monkeypatch.delenv("DMC_SHAPER_THREADS", raising=False)
-        _, serial, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("DMC_SHAPER_THREADS", "3")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert serial == threaded
+    @pytest.mark.parametrize(
+        "h_spec, k, methods, message",
+        [
+            (None, "4,16", "sdp,bsa", "k must be in [2, 15]"),
+            ("bundled", "16", "sdp,exhaustive", "exceeds the guard"),
+        ],
+        ids=["bsa-k-equals-m", "exhaustive-over-guard"],
+    )
+    def test_bad_configuration_rejected_before_any_point(
+        self, capsys, h_file, monkeypatch, h_spec, k, methods, message
+    ):
+        def no_point(*args, **kwargs):
+            raise AssertionError("an SNR point was computed")
+
+        monkeypatch.setattr(cli, "build_quantized_mimo", no_point)
+        code, out, err = run_cli(
+            capsys, "sweep", "--h-matrix", h_spec or h_file, "--snr-db", "0",
+            "--k", k, "--methods", methods,
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
 
 
 class TestCodedBer:
@@ -264,6 +278,18 @@ class TestCodedBer:
         assert code == 1
         assert out == ""
         assert "duplicate" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--ensemble=0", "--min-frame-errors=0", "--max-frames=0"]
+    )
+    def test_non_measurement_rejected(self, capsys, h_file, flag):
+        code, out, err = run_cli(
+            capsys, "coded-ber", "--h-matrix", h_file, "--mask", "full",
+            "--snr-db", "10", "--n", "24", "--total-rate", "2.0", flag,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_full_mask_keyword(self, capsys, h_file):
         code, out, _ = run_cli(

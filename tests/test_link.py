@@ -222,6 +222,20 @@ class TestRunCodedBer:
         with pytest.raises(ValueError):
             run_coded_ber(h, mask, [10.0], n=24, total_rate=1.5)
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"seeds": ()}, {"min_frame_errors": 0}, {"max_frames": 0}],
+        ids=["no-seeds", "no-frame-errors", "no-frames"],
+    )
+    def test_non_measurements_rejected(self, override):
+        # Each of these would report a BER of 0 (or nothing) from 0 frames.
+        h = random_h(2, 2, seed=83)
+        mask = SubsetMask.from_indices(16, [0, 5, 10, 15])
+        kwargs = dict(n=24, total_rate=1.0, seeds=(0,), min_frame_errors=3, max_frames=20)
+        kwargs.update(override)
+        with pytest.raises(ValueError):
+            run_coded_ber(h, mask, [10.0], **kwargs)
+
     def test_records_counts_consistent(self):
         h = random_h(2, 2, seed=84)
         mask = SubsetMask.from_indices(16, [2, 6, 9, 13])

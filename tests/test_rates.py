@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmc_shaper import rates
 from dmc_shaper import (
     DmcChannel,
     InputDistribution,
@@ -201,6 +202,61 @@ class TestOrderingInvariants:
         assert uniform_subset_rate(ch, mask) == uniform_subset_rate(ch, mask)
         assert cutoff_rate(ch, mask) == cutoff_rate(ch, mask)
         assert ser_ml(ch, mask) == ser_ml(ch, mask)
+
+
+def reference_values(trans, sel):
+    """Per-entry definitions of rate, cutoff rate, SER and misdetection costs
+    for one subset, written apart from the library's kernels."""
+    k = len(sel)
+    l = trans.shape[1]
+    rate = math.log2(k)
+    cutoff_sum = 0.0
+    best_sum = 0.0
+    costs = [0.0] * k
+    for y in range(l):
+        col = [float(trans[x, y]) for x in sel]
+        denom = sum(col)
+        rate += sum(p * math.log2(p / denom) for p in col if p > 0.0) / k
+        cutoff_sum += sum(math.sqrt(p) for p in col) ** 2
+        best = max(col)
+        best_sum += best
+        winner = col.index(best)  # first maximum: ties go to the smallest index
+        for j in range(k):
+            if j != winner:
+                costs[j] += col[j]
+    return rate, 2.0 * math.log2(k) - math.log2(cutoff_sum), 1.0 - best_sum / k, costs
+
+
+class TestBatchKernels:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_match_per_entry_definitions(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 9))
+        l = int(rng.integers(2, 9))
+        k = int(rng.integers(2, m + 1))
+        n = int(rng.integers(1, 6))
+        probs = rng.dirichlet(np.ones(l), size=m) * (rng.random((m, l)) < 0.7)
+        probs[:, 0] += 1e-3  # every row keeps some mass
+        probs[-1] = probs[0]  # a duplicate row: tied argmax on every output
+        ch = DmcChannel.from_probs(probs / probs.sum(axis=1, keepdims=True))
+        # Row 0 holds both copies of the duplicated input.
+        inner = np.sort(rng.choice(np.arange(1, m - 1), size=k - 2, replace=False))
+        rows = [np.concatenate(([0], inner, [m - 1]))]
+        rows += [np.sort(rng.choice(m, size=k, replace=False)) for _ in range(n - 1)]
+        idx = np.array(rows)
+
+        got = (
+            rates.batch_rate(ch, idx),
+            rates.batch_cutoff_rate(ch, idx),
+            rates.batch_ser(ch, idx),
+            rates.batch_misdetect(ch, idx),
+        )
+        assert [g.shape for g in got] == [(n,), (n,), (n,), (n, k)]
+        for row, sel in enumerate(idx):
+            want = reference_values(ch.trans, sel)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g[row], w, rtol=0, atol=1e-12)
 
 
 class TestBlahutArimoto:

@@ -19,6 +19,7 @@ from dmc_shaper import (
     cutoff_rate,
     exhaustive_select,
     ser_ml,
+    uniform_subset_rate,
 )
 
 
@@ -90,6 +91,19 @@ class TestExhaustiveSelect:
             _, v1 = exhaustive_select(ch, 3, crit)
             _, v2 = exhaustive_select(ch_perm, 3, crit)
             assert v1 == pytest.approx(v2, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "criterion, scalar",
+        [("rate", uniform_subset_rate), ("cutoff", cutoff_rate), ("ser", ser_ml)],
+    )
+    def test_value_is_scalar_api_on_mask(self, criterion, scalar, k):
+        # Same bits, not just close: a sweep row must never show another
+        # method above the exhaustive optimum for the same subset.
+        for seed in range(5):
+            ch = small_mimo_channel(seed, snr_db=0.0)
+            mask, val = exhaustive_select(ch, k, criterion)
+            assert val == scalar(ch, mask), seed
 
     def test_lexicographic_tie_break(self):
         # Identity channel: every k-subset is equally good, so the first
