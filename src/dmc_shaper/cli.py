@@ -25,9 +25,10 @@ from .channel import (
 )
 from .link import average_ber_records, run_coded_ber
 from .mimo import ComplexChannelMatrix, SnrPoint, build_quantized_mimo, example_h4x4, load_h_matrix
+from .mimo import DEFAULT_ALPHABET_CAP
 from .rates import blahut_arimoto, uniform_subset_rate
-from .sdp import RoundingConfig, sdp_select
-from .subset_search import BsaConfig, bsa_select, evaluate_mask, exhaustive_select
+from .sdp import ROUNDING_METHODS, RoundingConfig, sdp_select
+from .subset_search import CRITERIA, BsaConfig, bsa_select, evaluate_mask, exhaustive_select
 from .subset_search import check_bsa_size, check_exhaustive_size
 
 CSV_HEADER_COMMENT = f"# dmc-shaper v{__version__}"
@@ -249,9 +250,8 @@ def cmd_coded_ber(args: argparse.Namespace) -> int:
         min_frame_errors=args.min_frame_errors,
         max_frames=args.max_frames,
     )
-    merged = average_ber_records(records) if len(seeds) > 1 else records
     lines = [CSV_HEADER_COMMENT, "snr_db,k,code_rate,frames,bit_errors,ber"]
-    for rec in merged:
+    for rec in average_ber_records(records):
         lines.append(
             ",".join(
                 [
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument("--h-matrix", required=True, help="H JSON file or 'bundled'")
     p_build.add_argument("--snr-db", required=True, help="comma-separated dB values")
-    p_build.add_argument("--max-alphabet", type=int, default=1 << 16)
+    p_build.add_argument("--max-alphabet", type=int, default=DEFAULT_ALPHABET_CAP)
     p_build.add_argument("--out", help="output channel JSON path")
     p_build.set_defaults(func=cmd_build_mimo)
 
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sdp.add_argument("--max-iter", type=int, default=5000)
     p_sdp.add_argument("--nrand", type=int, default=100)
     p_sdp.add_argument("--seed", type=int, default=0)
-    p_sdp.add_argument("--method", choices=["randomized", "eigen"], default="randomized")
+    p_sdp.add_argument("--method", choices=ROUNDING_METHODS, default="randomized")
     p_sdp.add_argument("--out")
     p_sdp.set_defaults(func=cmd_select)
 
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exh = select_sub.add_parser("exhaustive", help="small-scale exhaustive optimum")
     p_exh.add_argument("--channel", required=True)
     p_exh.add_argument("--k", type=int, required=True)
-    p_exh.add_argument("--criterion", choices=["rate", "ser", "cutoff"], required=True)
+    p_exh.add_argument("--criterion", choices=CRITERIA, required=True)
     p_exh.add_argument("--out")
     p_exh.set_defaults(func=cmd_select)
 

@@ -135,13 +135,12 @@ class BerRecord:
 
 
 def average_ber_records(records: list[BerRecord]) -> list[BerRecord]:
-    """Merge per-seed records into one aggregate record per SNR point."""
+    """Merge per-seed records into one record per SNR point, in first-seen order."""
     by_snr: dict[float, list[BerRecord]] = {}
     for rec in records:
         by_snr.setdefault(rec.snr_db, []).append(rec)
     out = []
-    for snr_db in sorted(by_snr):
-        group = by_snr[snr_db]
+    for snr_db, group in by_snr.items():
         bits = sum(r.bits_sent for r in group)
         errs = sum(r.bit_errors for r in group)
         out.append(
@@ -168,7 +167,6 @@ def run_coded_ber(
     seeds=(0,),
     min_frame_errors: int = 50,
     max_frames: int = 10**6,
-    bp_max_iter: int = 100,
 ) -> list[BerRecord]:
     """Coded BER sweep: one record per (seed, SNR point).
 
@@ -182,11 +180,14 @@ def run_coded_ber(
     runs past the stopping rule (``min_frame_errors`` or ``max_frames``) and
     the records equal those of a frame-by-frame loop. Frame RNG streams
     derive from (seed, frame index), message first and then noise, so the
-    same noise is reused across SNR points.
+    same noise is reused across SNR points, which must be distinct.
     """
     seeds = tuple(seeds)
     if not seeds or min_frame_errors < 1 or max_frames < 1:
         raise ValueError("need a code seed, and min_frame_errors and max_frames of at least 1")
+    snrs = [float(snr_db) for snr_db in snr_db_list]
+    if len(set(snrs)) != len(snrs):
+        raise ValueError(f"SNR points must be distinct, got {snrs}")
     lab = SymbolLabeling.from_mask(mask)
     q = lab.bits_per_symbol
     code_rate = total_rate / q
@@ -202,8 +203,8 @@ def run_coded_ber(
     for seed in seeds:
         code = build_ldpc(n, code_rate, col_weight=3, seed=seed)
         k_msg = code.message_length
-        for snr_db in snr_db_list:
-            snr = SnrPoint.from_db(float(snr_db))
+        for snr_db in snrs:
+            snr = SnrPoint.from_db(snr_db)
             ch = build_quantized_mimo(h, snr)
             llr_table = compute_llrs_block(ch, lab, np.arange(ch.num_outputs))
             bit_errors = 0
@@ -219,7 +220,7 @@ def run_coded_ber(
                     symbols, _ = map_bits(code.encode(messages[i]), lab)
                     y = sample_receive_many(h, table[symbols], snr, rng)
                     llrs[i] = llr_table[y].ravel()[: code.n]
-                decoded = bp_decode_batch(code, llrs, max_iter=bp_max_iter)
+                decoded = bp_decode_batch(code, llrs)
                 errs = (decoded.bits[:, code.message_positions] != messages).sum(axis=1)
                 bit_errors += int(errs.sum())
                 frame_errors += int(np.count_nonzero(errs))
@@ -227,7 +228,7 @@ def run_coded_ber(
             bits_sent = frames * k_msg
             records.append(
                 BerRecord(
-                    snr_db=float(snr_db),
+                    snr_db=snr_db,
                     bits_sent=bits_sent,
                     bit_errors=bit_errors,
                     frame_errors=frame_errors,

@@ -10,6 +10,10 @@ integer index stack of shape (..., K), rows of ascending input indices, and
 returns one value per row; the scalar functions call it on ``mask.indices``.
 The rate is log2 K + (sum_{x in S} r(x) - sum_y d(y) ln d(y)) / (K ln 2) with
 the row term r(x) = sum_y P(y|x) ln P(y|x) and d(y) = sum_{x in S} P(y|x).
+
+``mutual_information`` and ``blahut_arimoto`` share one kernel, ``_divergence``,
+so ``capacity_bits`` equals ``mutual_information`` on ``input_dist`` bit for bit;
+on a uniform subset prior ``batch_rate`` agrees with it to about 1e-15.
 """
 
 from __future__ import annotations
@@ -36,22 +40,24 @@ def _row_plogp(ch: DmcChannel) -> np.ndarray:
     return (ch.trans * safe_log).sum(axis=1)
 
 
+def _divergence(trans: np.ndarray, row_plogp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """KL divergence D(x) = r(x) - sum_{y: q(y)>0} P(y|x) ln q(y) in nats, q = p P.
+
+    Columns with q(y) = 0 carry only probabilities below the zero floor, so
+    skipping them is exact at double precision.
+    """
+    q = p @ trans
+    cols = q > 0.0
+    return row_plogp - trans[:, cols] @ np.log(q[cols])
+
+
 def mutual_information(ch: DmcChannel, p: InputDistribution) -> float:
-    """I(X;Y) in bits for input pmf p over the channel inputs."""
+    """I(X;Y) = sum_x p(x) D(x) in bits for input pmf p over the channel inputs."""
     if len(p) != ch.num_inputs:
         raise ValueError(
             f"distribution has {len(p)} entries, channel has {ch.num_inputs} inputs"
         )
-    probs = p.probs
-    rows = probs > 0.0
-    sub = ch.trans[rows]
-    q = probs[rows] @ sub
-    # q(y) > 0 wherever any contributing P(y|x) > 0, so the log is safe; the
-    # -inf logs of zero entries are masked out before multiplying.
-    log_q = np.log(np.where(q > 0.0, q, 1.0))
-    log_sub = np.where(sub > 0.0, ch.log_trans[rows], 0.0)
-    terms = sub * (log_sub - log_q[None, :])
-    return float(probs[rows] @ terms.sum(axis=1)) / _LN2
+    return float(p.probs @ _divergence(ch.trans, _row_plogp(ch), p.probs)) / _LN2
 
 
 def batch_rate(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
@@ -157,24 +163,15 @@ def blahut_arimoto(ch: DmcChannel, tol: float = 1e-9, max_iter: int = 200_000) -
     p_eval = p
     lower = upper = 0.0
     iterations = 0
+    converged = False
     for iterations in range(1, max_iter + 1):
         p_eval = p
-        q = p @ trans
-        cols = q > 0.0
-        # Columns with q == 0 carry only probabilities below the zero floor;
-        # skipping them is exact at double precision.
-        d = row_plogp - trans[:, cols] @ np.log(q[cols])
+        d = _divergence(trans, row_plogp, p)
         lower = float(p @ d) / _LN2
         upper = float(d.max()) / _LN2
         if upper - lower < tol:
-            return BaResult(
-                capacity_bits=lower,
-                input_dist=InputDistribution(p_eval),
-                lower_bits=lower,
-                upper_bits=upper,
-                iterations=iterations,
-                converged=True,
-            )
+            converged = True
+            break
         p = p * np.exp(d - d.max())
         # Keep every input alive so no symbol is absorbed at exactly zero.
         p = np.maximum(p, 1e-300)
@@ -187,5 +184,5 @@ def blahut_arimoto(ch: DmcChannel, tol: float = 1e-9, max_iter: int = 200_000) -
         lower_bits=lower,
         upper_bits=upper,
         iterations=iterations,
-        converged=False,
+        converged=converged,
     )

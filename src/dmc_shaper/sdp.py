@@ -22,6 +22,9 @@ from .rates import cutoff_bits, cutoff_rate
 
 ROUNDING_METHODS = ("randomized", "eigen")
 
+_RHO_INIT = 1.0  # ADMM penalty at the start; residual balancing rescales it
+_ALPHA = 1.6  # ADMM over-relaxation
+
 
 @dataclass(frozen=True)
 class GramMatrix:
@@ -229,14 +232,7 @@ def _constraint_violation(x: np.ndarray, k: int) -> float:
     return max(diag_vs_border, corner, border_sum)
 
 
-def solve_sdp(
-    b_mat: np.ndarray,
-    k: int,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-    rho: float = 1.0,
-    alpha: float = 1.6,
-) -> SdpSolution:
+def solve_sdp(b_mat: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) -> SdpSolution:
     """Minimize tr(B S) over PSD S meeting the subset-lift affine constraints.
 
     ADMM with over-relaxation: alternate the closed-form affine projection
@@ -257,8 +253,8 @@ def solve_sdp(
     m = n - 1
     if b_mat.shape != (n, n) or m < 2:
         raise ValueError("embedded matrix must be (M+1) x (M+1) with M >= 2")
-    if not (1 <= k <= m):
-        raise ValueError(f"k must be in [1, {m}], got {k}")
+    if not (2 <= k <= m):
+        raise ValueError(f"k must be in [2, {m}], got {k}")
 
     orbits = _input_orbits(b_mat)
     g, r = orbits.shape
@@ -276,12 +272,13 @@ def solve_sdp(
     z[0, g, g] = 1.0
     u = np.zeros_like(z)
 
+    rho = _RHO_INIT
     primal = dual = math.inf
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         x = _affine_project(z - u - b_red / rho, k)
-        x_hat = alpha * x + (1.0 - alpha) * z
+        x_hat = _ALPHA * x + (1.0 - _ALPHA) * z
         z_new = _psd_project(x_hat + u)
         u += x_hat - z_new
         primal = max(

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from dmc_shaper import __version__, cli
+from dmc_shaper import __version__, check_channel_dict, cli
 from dmc_shaper.cli import main
 
 
@@ -101,6 +101,15 @@ class TestBuildMimo:
         )
         assert code == 1
         assert "cap" in err
+
+    def test_stdout_without_out(self, capsys, h_file):
+        code, out, _ = run_cli(
+            capsys, "channel", "build-mimo", "--h-matrix", h_file, "--snr-db", "5"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert check_channel_dict(doc) == []
+        assert doc["M"] == 16
 
     def test_snr_list_writes_indexed_files(self, capsys, h_file, tmp_path):
         out = tmp_path / "ch.json"
@@ -212,6 +221,15 @@ class TestSweep:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_empty_k_list_rejected(self, capsys, h_file):
+        code, out, err = run_cli(
+            capsys, "sweep", "--h-matrix", h_file, "--snr-db", "5",
+            "--k", ",", "--methods", "full",
+        )
+        assert code == 1
+        assert out == ""
+        assert "at least one" in err
+
     def test_unknown_method_rejected(self, capsys, h_file):
         code, _, err = run_cli(
             capsys, "sweep", "--h-matrix", h_file, "--snr-db", "5",
@@ -280,7 +298,7 @@ class TestCodedBer:
         assert "duplicate" in err
 
     @pytest.mark.parametrize(
-        "flag", ["--ensemble=0", "--min-frame-errors=0", "--max-frames=0"]
+        "flag", ["--ensemble=0", "--min-frame-errors=0", "--max-frames=0", "--snr-db=10,10"]
     )
     def test_non_measurement_rejected(self, capsys, h_file, flag):
         code, out, err = run_cli(
@@ -290,6 +308,37 @@ class TestCodedBer:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"M": 64, "indices": [0, 5, 10, 15]}, "M=64"),
+            ({"M": 16, "picks": [0, 5, 10, 15]}, "JSON list"),
+            ("0,5,10,15", "JSON list"),
+        ],
+        ids=["wrong-m", "no-indices", "not-a-list"],
+    )
+    def test_bad_mask_file_rejected(self, capsys, h_file, tmp_path, doc, message):
+        mask_file = tmp_path / "mask.json"
+        mask_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "coded-ber", "--h-matrix", h_file, "--mask", str(mask_file),
+            "--snr-db", "0", "--n", "24", "--total-rate", "1.0",
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("ensemble", ["1", "2"])
+    def test_rows_follow_snr_order(self, capsys, h_file, ensemble):
+        code, out, _ = run_cli(
+            capsys, "coded-ber", "--h-matrix", h_file, "--mask", "full",
+            "--snr-db", "5,0", "--n", "24", "--total-rate", "2.0",
+            "--ensemble", ensemble, "--min-frame-errors", "2", "--max-frames", "4",
+        )
+        assert code == 0
+        rows = out.strip().split("\n")[2:]
+        assert [row.split(",")[0] for row in rows] == ["5.0", "0.0"]
 
     def test_full_mask_keyword(self, capsys, h_file):
         code, out, _ = run_cli(

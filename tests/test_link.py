@@ -16,6 +16,7 @@ from dmc_shaper import (
     SnrPoint,
     SubsetMask,
     SymbolLabeling,
+    average_ber_records,
     bp_decode,
     build_ldpc,
     build_quantized_mimo,
@@ -236,6 +237,14 @@ class TestRunCodedBer:
         with pytest.raises(ValueError):
             run_coded_ber(h, mask, [10.0], **kwargs)
 
+    def test_repeated_snr_points_rejected(self):
+        # A repeated point reuses the same (seed, frame) streams, so its
+        # frames would be counted twice when the records are merged.
+        h = random_h(2, 2, seed=83)
+        mask = SubsetMask.from_indices(16, [0, 5, 10, 15])
+        with pytest.raises(ValueError, match="distinct"):
+            run_coded_ber(h, mask, [5.0, 0.0, 5.0], n=24, total_rate=1.0)
+
     def test_records_counts_consistent(self):
         h = random_h(2, 2, seed=84)
         mask = SubsetMask.from_indices(16, [2, 6, 9, 13])
@@ -308,3 +317,24 @@ class TestRunCodedBer:
             assert 64 < want[0].frames < max_frames and want[0].frames % 64
         elif stop == "frames":
             assert want[0].frames == max_frames and 0 < want[0].frame_errors < min_frame_errors
+
+
+class TestAverageBerRecords:
+    def test_merged_counts_are_per_seed_sums(self):
+        h = random_h(2, 2, seed=86)
+        mask = SubsetMask.from_indices(16, [1, 6, 11, 12])
+        snrs = [5.0, 0.0]
+        kwargs = dict(n=24, total_rate=1.0, min_frame_errors=4, max_frames=30)
+        per_seed = run_coded_ber(h, mask, snrs, seeds=(2, 3), **kwargs)
+        merged = average_ber_records(per_seed)
+        assert [rec.snr_db for rec in merged] == snrs
+        for rec in merged:
+            group = [r for r in per_seed if r.snr_db == rec.snr_db]
+            assert len(group) == 2
+            assert rec.frames == sum(r.frames for r in group)
+            assert rec.frame_errors == sum(r.frame_errors for r in group)
+            assert rec.bits_sent == sum(r.bits_sent for r in group)
+            assert rec.bit_errors == sum(r.bit_errors for r in group)
+            assert rec.ber == rec.bit_errors / rec.bits_sent
+            assert rec.code_rate == group[0].code_rate
+            assert rec.seed is None

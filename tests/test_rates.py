@@ -18,9 +18,12 @@ from dmc_shaper import rates
 from dmc_shaper import (
     DmcChannel,
     InputDistribution,
+    SnrPoint,
     SubsetMask,
     blahut_arimoto,
+    build_quantized_mimo,
     cutoff_rate,
+    example_h4x4,
     mutual_information,
     per_symbol_misdetect,
     ser_ml,
@@ -300,6 +303,14 @@ class TestBlahutArimoto:
         assert mutual_information(ch, res.input_dist) == pytest.approx(
             res.capacity_bits, abs=1e-9
         )
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0])
+    def test_capacity_is_mutual_information_of_returned_p(self, snr_db):
+        # Both evaluate I(X;Y) with the same divergence kernel, so they agree
+        # bit for bit, not just to within the tolerance.
+        ch = build_quantized_mimo(example_h4x4(), SnrPoint.from_db(snr_db))
+        res = blahut_arimoto(ch, tol=1e-6)
+        assert mutual_information(ch, res.input_dist) == res.capacity_bits
 
     def test_symmetric_channel_gets_uniform(self):
         # Rows are cyclic shifts: a symmetric channel, capacity at uniform.

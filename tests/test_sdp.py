@@ -199,6 +199,9 @@ class TestSolveSdp:
         with pytest.raises(ValueError):
             solve_sdp(g, k=0)
         with pytest.raises(ValueError):
+            # SubsetMask's range is [2, M]; k=1 is refused before any ADMM step.
+            solve_sdp(g, k=1)
+        with pytest.raises(ValueError):
             solve_sdp(g, k=5)
         with pytest.raises(ValueError):
             solve_sdp(g, k=2, tol=0.0)
