@@ -9,6 +9,7 @@ representable so that downstream likelihood sums stay subnormal-free.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,7 +161,11 @@ class SubsetMask:
 
     @classmethod
     def from_indices(cls, m: int, indices) -> "SubsetMask":
-        idx = np.asarray(indices, dtype=np.intp)
+        items = list(indices)
+        # bool is an Integral, and numpy would read True as index 1.
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in items):
+            raise ValueError("mask indices must be integers")
+        idx = np.asarray(items, dtype=np.intp)
         if idx.size and (idx.min() < 0 or idx.max() >= m):
             raise ValueError("index out of range")
         bits = np.zeros(m, dtype=bool)

@@ -27,7 +27,7 @@ from .link import average_ber_records, run_coded_ber
 from .mimo import ComplexChannelMatrix, SnrPoint, build_quantized_mimo, example_h4x4, load_h_matrix
 from .mimo import DEFAULT_ALPHABET_CAP
 from .rates import blahut_arimoto, uniform_subset_rate
-from .sdp import ROUNDING_METHODS, RoundingConfig, sdp_select
+from .sdp import RoundingConfig, sdp_select
 from .subset_search import CRITERIA, BsaConfig, bsa_select, evaluate_mask, exhaustive_select
 from .subset_search import check_bsa_size, check_exhaustive_size
 
@@ -121,7 +121,7 @@ def cmd_capacity_ba(args: argparse.Namespace) -> int:
 def cmd_select(args: argparse.Namespace) -> int:
     ch = load_channel(args.channel)
     if args.select_cmd == "sdp":
-        cfg = RoundingConfig(n_rand=args.nrand, rng_seed=args.seed, method=args.method)
+        cfg = RoundingConfig(n_rand=args.nrand, rng_seed=args.seed)
         res = sdp_select(ch, args.k, tol=args.tol, cfg=cfg, max_iter=args.max_iter)
         doc = {
             "mask": res.mask.indices.tolist(),
@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sdp.add_argument("--max-iter", type=int, default=5000)
     p_sdp.add_argument("--nrand", type=int, default=100)
     p_sdp.add_argument("--seed", type=int, default=0)
-    p_sdp.add_argument("--method", choices=ROUNDING_METHODS, default="randomized")
     p_sdp.add_argument("--out")
     p_sdp.set_defaults(func=cmd_select)
 

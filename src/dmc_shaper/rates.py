@@ -43,12 +43,12 @@ def _row_plogp(ch: DmcChannel) -> np.ndarray:
 def _divergence(trans: np.ndarray, row_plogp: np.ndarray, p: np.ndarray) -> np.ndarray:
     """KL divergence D(x) = r(x) - sum_{y: q(y)>0} P(y|x) ln q(y) in nats, q = p P.
 
-    Columns with q(y) = 0 carry only probabilities below the zero floor, so
-    skipping them is exact at double precision.
+    A column with q(y) = 0 enters as ln 1 = 0. It may still hold a nonzero
+    P(y|x): a tiny one whose product with every p(x) underflows, or any one of
+    an input with p(x) = 0. Its term counts as 0 either way.
     """
     q = p @ trans
-    cols = q > 0.0
-    return row_plogp - trans[:, cols] @ np.log(q[cols])
+    return row_plogp - trans @ np.log(np.where(q > 0.0, q, 1.0))
 
 
 def mutual_information(ch: DmcChannel, p: InputDistribution) -> float:
@@ -154,6 +154,8 @@ def blahut_arimoto(ch: DmcChannel, tol: float = 1e-9, max_iter: int = 200_000) -
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     trans = ch.trans
     m = ch.num_inputs
     # Row "negative entropy" sum_y P log P is constant across iterations.

@@ -5,8 +5,9 @@ minimizing b^T A b over binary b with exactly k ones, where A is the Gram
 matrix of square-root likelihood rows (pairwise confusability). The problem
 is lifted with a sign slack variable to a symmetric form, relaxed by dropping
 the rank-one constraint, solved by an ADMM splitting between the affine
-constraint set and the PSD cone, and rounded back to a subset by Gaussian
-sampling from the solution covariance (or by its dominant eigenvector).
+constraint set and the PSD cone, and rounded back to a subset: Gaussian
+draws from the solution covariance plus its dominant eigenvector are each
+quantized to their top k entries, and the best is kept.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import numpy as np
 from .channel import DmcChannel, SubsetMask
 from .mimo import qpsk_rotation
 from .rates import cutoff_bits, cutoff_rate
-
-ROUNDING_METHODS = ("randomized", "eigen")
 
 _RHO_INIT = 1.0  # ADMM penalty at the start; residual balancing rescales it
 _ALPHA = 1.6  # ADMM over-relaxation
@@ -69,15 +68,12 @@ class SdpSolution:
 class RoundingConfig:
     n_rand: int = 100
     rng_seed: int = 0
-    method: str = "randomized"
 
     def __post_init__(self) -> None:
         if not (1 <= self.n_rand <= 10**6):
             raise ValueError("n_rand must be in [1, 10^6]")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
-        if self.method not in ROUNDING_METHODS:
-            raise ValueError(f"method must be one of {ROUNDING_METHODS}")
 
 
 def build_gram(ch: DmcChannel) -> GramMatrix:
@@ -248,6 +244,8 @@ def solve_sdp(b_mat: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     b_mat = np.asarray(b_mat, dtype=np.float64)
     n = b_mat.shape[0]
     m = n - 1
@@ -328,7 +326,7 @@ def _quantize_top_k(s_vec: np.ndarray, k: int) -> np.ndarray:
     if s_vec[-1] < 0.0:
         s_vec = -s_vec
     m = s_vec.shape[0] - 1
-    order = np.lexsort((np.arange(m), -s_vec[:m]))
+    order = np.argsort(-s_vec[:m], kind="stable")
     return np.sort(order[:k])
 
 
@@ -338,33 +336,27 @@ def round_solution(
     b_mat: np.ndarray,
     cfg: RoundingConfig,
 ) -> tuple[SubsetMask, float]:
-    """Recover a k-subset from the factor V of the relaxed solution.
+    """Recover a k-subset from ``psd_factorize``'s factor V of the relaxed solution.
 
-    randomized: draw unit-sphere vectors u (stream per draw index), form
-    s = V^T u, and quantize; keep the candidate minimizing b^T A b.
-    eigen: quantize the dominant eigenvector of V^T V once.
+    The candidates are s = V^T u for ``cfg.n_rand`` unit-sphere draws u (one
+    stream per draw index), then V's last row: ``psd_factorize`` orders rows
+    by ascending eigenvalue, so that is the dominant eigenvector scaled by
+    sqrt(lambda_max). Each is quantized and scored by b^T A b as it is
+    drawn; the first strict minimum wins.
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[1]
     m = n - 1
     a = np.asarray(b_mat, dtype=np.float64)[:m, :m]
 
-    if cfg.method == "eigen":
-        _, q = np.linalg.eigh(v.T @ v)
-        candidates = [q[:, -1]]
-    else:
-        candidates = []
-        for i in range(cfg.n_rand):
-            rng = np.random.default_rng([cfg.rng_seed, i])
-            u = rng.standard_normal(n)
-            norm = np.linalg.norm(u)
-            if norm > 0.0:
-                u /= norm
-            candidates.append(v.T @ u)
-
     best_idx: np.ndarray | None = None
     best_obj = math.inf
-    for s_vec in candidates:
+    for i in range(cfg.n_rand + 1):
+        if i == cfg.n_rand:
+            s_vec = v[-1]
+        else:
+            u = np.random.default_rng([cfg.rng_seed, i]).standard_normal(n)
+            s_vec = v.T @ (u / np.linalg.norm(u))
         chosen = _quantize_top_k(s_vec, k)
         obj = float(a[np.ix_(chosen, chosen)].sum())
         if obj < best_obj:

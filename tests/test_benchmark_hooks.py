@@ -1,19 +1,24 @@
-"""The benchmark's tracing and self-test hooks must resolve on the package.
+"""The benchmark's hooks and calls must resolve on the package.
 
 ``perfbench/spans.py`` replaces functions by the module attribute their
 callers look them up by, and ``perfbench/selftest.py`` patches four more. A
 refactor that drops one of those imports breaks a traced benchmark run in
-``Tracer.install``; this test catches it in the ordinary suite.
+``Tracer.install``; a refactor that drops a keyword or a CLI flag that
+``perfbench/workloads.py`` passes breaks every run. These tests catch both in
+the ordinary suite.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
+
+from dmc_shaper import channel, cli, link, mimo, sdp, subset_search
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -42,3 +47,45 @@ def _traced():
 def test_hooked_attribute_resolves(mod, attr):
     module = importlib.import_module(f"dmc_shaper.{mod}")
     assert callable(getattr(module, attr, None)), f"dmc_shaper.{mod}.{attr}"
+
+
+# Each call perfbench/workloads.py makes with keywords or a fixed arity, with
+# placeholders for the values it computes.
+WORKLOAD_CALLS = [
+    (sdp.RoundingConfig, (), {"n_rand": 100, "rng_seed": 0}),
+    (sdp.sdp_select, ("ch", 4), {"tol": 1e-8, "cfg": "cfg", "max_iter": 20_000}),
+    (subset_search.BsaConfig, (), {"k": 4, "restarts": 20, "rng_seed": 0}),
+    (subset_search.bsa_select, ("ch", "cfg"), {}),
+    (subset_search.exhaustive_select, ("ch", 4, "rate"), {}),
+    (
+        link.run_coded_ber,
+        ("h", "mask", [0.0]),
+        {"n": 250, "total_rate": 2.5, "seeds": (1,), "min_frame_errors": 51, "max_frames": 50},
+    ),
+    (link.compute_llrs_block, ("ch", "lab", "y"), {}),
+    (link.SymbolLabeling.from_mask, ("mask",), {}),
+    (channel.SubsetMask.from_indices, (256, "idx"), {}),
+    (channel.SubsetMask.full, (256,), {}),
+    (mimo.build_quantized_mimo, ("h", "snr"), {}),
+    (mimo.SnrPoint.from_db, (0.0,), {}),
+    (mimo.ComplexChannelMatrix, ("gains",), {}),
+    (mimo.example_h4x4, (), {}),
+    (cli.main, (["sweep"],), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "target, args, kwargs", WORKLOAD_CALLS, ids=[c[0].__qualname__ for c in WORKLOAD_CALLS]
+)
+def test_workload_call_binds(target, args, kwargs):
+    inspect.signature(target).bind(*args, **kwargs)
+
+
+@pytest.mark.parametrize("h_spec, ks", [("bundled", "16,64"), ("h.json", "4,8")])
+def test_sweep_argv_parses(h_spec, ks):
+    # The argv of sweep_m256 (full run, then the self-test's quick round).
+    args = cli.build_parser().parse_args(
+        ["sweep", "--h-matrix", h_spec, "--snr-db", "0.0", "--k", ks,
+         "--methods", "sdp,bsa,full", "--seed", "1"]
+    )
+    assert args.func is cli.cmd_sweep

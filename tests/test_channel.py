@@ -124,6 +124,13 @@ class TestSubsetMask:
         with pytest.raises(ValueError, match="duplicate"):
             SubsetMask.from_indices(16, [0, 0, 5, 10])
 
+    @pytest.mark.parametrize(
+        "indices", [[0.5, 5.9, 10, 15], [True, 5, 10, 15]], ids=["float", "bool"]
+    )
+    def test_non_integer_index(self, indices):
+        with pytest.raises(ValueError, match="integers"):
+            SubsetMask.from_indices(16, indices)
+
 
 class TestRestrict:
     def test_full_mask_is_identity(self):

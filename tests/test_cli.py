@@ -134,6 +134,14 @@ class TestCapacity:
         assert doc["capacity_bits"] == pytest.approx(1 - h2, abs=1e-7)
         assert doc["converged"]
 
+    def test_no_iteration_rejected(self, capsys, bsc_file):
+        code, out, err = run_cli(
+            capsys, "capacity", "ba", "--channel", bsc_file, "--max-iter", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "max_iter" in err
+
 
 class TestSelect:
     def test_sdp_output_schema(self, capsys, mimo_channel_file):
@@ -315,8 +323,9 @@ class TestCodedBer:
             ({"M": 64, "indices": [0, 5, 10, 15]}, "M=64"),
             ({"M": 16, "picks": [0, 5, 10, 15]}, "JSON list"),
             ("0,5,10,15", "JSON list"),
+            ({"M": 16, "indices": [0.5, 5, 10, 15]}, "integers"),
         ],
-        ids=["wrong-m", "no-indices", "not-a-list"],
+        ids=["wrong-m", "no-indices", "not-a-list", "non-integer"],
     )
     def test_bad_mask_file_rejected(self, capsys, h_file, tmp_path, doc, message):
         mask_file = tmp_path / "mask.json"

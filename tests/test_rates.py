@@ -332,3 +332,5 @@ class TestBlahutArimoto:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             blahut_arimoto(bsc(0.1), tol=0.0)
+        with pytest.raises(ValueError, match="max_iter"):
+            blahut_arimoto(bsc(0.1), max_iter=0)

@@ -205,6 +205,8 @@ class TestSolveSdp:
             solve_sdp(g, k=5)
         with pytest.raises(ValueError):
             solve_sdp(g, k=2, tol=0.0)
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_sdp(g, k=2, max_iter=0)
 
 
 class TestPsdFactorize:
@@ -257,14 +259,44 @@ class TestRoundSolution:
         mask, _ = round_solution(v, 2, b_mat, RoundingConfig(n_rand=20, rng_seed=0))
         np.testing.assert_array_equal(mask.bits, [True, False, True, False])
 
-    def test_eigen_method_same_rank_one(self):
+    def test_single_draw_rank_one(self):
         s_vec = np.array([0.9, -0.2, 0.5, 0.1, 1.0])
         s = np.outer(s_vec, s_vec)
         v = psd_factorize(SdpSolution(s, 0.0, 0.0, 0.0, 1, True))
         b_mat = np.zeros((5, 5))
         b_mat[:4, :4] = np.eye(4)
-        mask, _ = round_solution(v, 2, b_mat, RoundingConfig(method="eigen", rng_seed=0))
+        mask, _ = round_solution(v, 2, b_mat, RoundingConfig(n_rand=1, rng_seed=0))
         np.testing.assert_array_equal(mask.bits, [True, False, True, False])
+
+    def test_dominant_eigenvector_candidate_wins(self):
+        # Desk instance 16 of the acceptance suite (T=N=2, 10 dB, K=4): the
+        # dominant eigenvector rounds to a strictly lower objective than any
+        # of the 100 Gaussian draws.
+        rng = np.random.default_rng([9000, 16])
+        gains = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * np.sqrt(0.5)
+        ch = build_quantized_mimo(ComplexChannelMatrix(gains), SnrPoint.from_db(10.0))
+        b_mat = embed(build_gram(ch))
+        v = psd_factorize(solve_sdp(b_mat, k=4, tol=1e-8, max_iter=20_000))
+        a = b_mat[:16, :16]
+        cfg = RoundingConfig(n_rand=100, rng_seed=16)
+
+        def top4(s_vec):
+            s_vec = -s_vec if s_vec[-1] < 0.0 else s_vec
+            return np.sort(np.argsort(-s_vec[:16], kind="stable")[:4])
+
+        draw_objs = []
+        for i in range(cfg.n_rand):
+            u = np.random.default_rng([cfg.rng_seed, i]).standard_normal(17)
+            idx = top4(v.T @ (u / np.linalg.norm(u)))
+            draw_objs.append(float(a[np.ix_(idx, idx)].sum()))
+        eig_idx = top4(np.linalg.eigh(v.T @ v)[1][:, -1])
+        eig_obj = float(a[np.ix_(eig_idx, eig_idx)].sum())
+        assert eig_obj < min(draw_objs)
+
+        mask, obj = round_solution(v, 4, b_mat, cfg)
+        np.testing.assert_array_equal(mask.indices, eig_idx)
+        np.testing.assert_array_equal(mask.indices, top4(v[-1]))
+        assert obj == min(draw_objs + [eig_obj])
 
     def test_every_mask_has_k_ones(self):
         ch = small_mimo_channel(seed=400)
