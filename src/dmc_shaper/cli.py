@@ -26,7 +26,7 @@ from .channel import (
 from .link import average_ber_records, run_coded_ber
 from .mimo import ComplexChannelMatrix, SnrPoint, build_quantized_mimo, example_h4x4, load_h_matrix
 from .mimo import DEFAULT_ALPHABET_CAP
-from .rates import blahut_arimoto, uniform_subset_rate
+from .rates import blahut_arimoto, check_stopping_rule, uniform_subset_rate
 from .sdp import RoundingConfig, sdp_select
 from .subset_search import CRITERIA, BsaConfig, bsa_select, evaluate_mask, exhaustive_select
 from .subset_search import check_bsa_size, check_exhaustive_size
@@ -214,9 +214,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"k={k} out of range for an alphabet of {m} inputs")
     configs = [(k, method) for k in ks for method in methods]
     # Fail before the first SNR point rather than after the earlier ones ran.
+    check_stopping_rule(args.ba_tol, args.ba_max_iter)
     for k, method in configs:
         if method == "bsa":
             check_bsa_size(m, k)
+            BsaConfig(k=k, restarts=args.restarts)
+        elif method == "sdp":
+            check_stopping_rule(args.sdp_tol, args.sdp_max_iter)
+            RoundingConfig(n_rand=args.nrand)
         elif method == "exhaustive":
             check_exhaustive_size(m, k)
 

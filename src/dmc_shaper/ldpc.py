@@ -3,9 +3,9 @@ sum-product decoding.
 
 Construction fills columns one at a time with a fixed column weight, biased
 toward the currently lightest check rows and rejecting (up to a retry limit)
-placements that would close a length-4 cycle. The systematic generator comes
-from GF(2) elimination with column pivoting; rank-deficient draws are retried
-with a fresh derived seed.
+placements that would close a length-4 cycle. ``LdpcCode(h)`` derives the
+systematic generator by GF(2) elimination with column pivoting; rank-deficient
+draws are retried with a fresh derived seed.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ _TANH_LIMIT = 1.0 - 1e-15
 
 @dataclass
 class LdpcCode:
-    """Parity-check matrix with its derived systematic encoder.
+    """Parity-check matrix ``h`` with the systematic encoder derived from it.
 
     ``message_positions`` are the codeword coordinates that carry the message
-    verbatim; the remaining coordinates are parity determined by ``h``.
+    verbatim; the rest are parity. ``h`` must have full row rank (else
+    ``RankDeficientError``) and no empty row or column.
     """
 
     h: np.ndarray
-    generator: np.ndarray
-    message_positions: np.ndarray
-    rate: float
+    generator: np.ndarray = field(init=False)
+    message_positions: np.ndarray = field(init=False)
 
     # Edge structure for message passing, derived once. Edges are numbered
     # in row-major order of h. Slot tables list, per check or per variable,
@@ -57,6 +57,7 @@ class LdpcCode:
             raise ValueError(
                 f"variable columns {np.flatnonzero(col_counts == 0).tolist()} have no edges"
             )
+        self.generator, self.message_positions = _systematic_generator(self.h)
         n_edges = chk.shape[0]
         edges = np.arange(n_edges)
         slot = edges - (np.cumsum(counts) - counts)[chk]
@@ -84,6 +85,10 @@ class LdpcCode:
     @property
     def message_length(self) -> int:
         return self.message_positions.shape[0]
+
+    @property
+    def rate(self) -> float:
+        return self.message_length / self.n
 
     def encode(self, message: np.ndarray) -> np.ndarray:
         message = np.asarray(message, dtype=np.uint8)
@@ -184,11 +189,9 @@ def build_ldpc(n: int, rate: float, col_weight: int = 3, seed: int = 0) -> LdpcC
             last_error = ValueError("a check row ended up with weight < 2")
             continue
         try:
-            gen, msg = _systematic_generator(h)
+            return LdpcCode(h)
         except RankDeficientError as exc:
             last_error = exc
-            continue
-        return LdpcCode(h=h, generator=gen, message_positions=msg, rate=achieved)
     raise ValueError(f"no usable parity matrix after 10 attempts: {last_error}")
 
 

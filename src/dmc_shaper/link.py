@@ -4,7 +4,7 @@ Code bits are mapped log2(K) at a time onto the selected channel inputs
 (ascending input index = natural binary label, most significant bit first).
 The receiver computes per-bit log-odds from the exact channel law under a
 uniform symbol prior and hands them to the sum-product decoder; detection and
-decoding stay decoupled.
+decoding stay decoupled. A ``BerRecord`` stores counts and derives ``ber``.
 """
 
 from __future__ import annotations
@@ -35,27 +35,30 @@ _FRAME_BATCH = 64
 class SymbolLabeling:
     """Bijection between the K selected inputs and log2(K)-bit labels.
 
-    The r-th selected input (ascending index order) carries label r; bit j of
-    a label is bit (q-1-j) of r, i.e. the first bit of a group is the most
-    significant.
+    Input ``selected[r]`` carries label r (``from_mask`` lists the mask's
+    inputs in ascending order); bit j of a label is bit (q-1-j) of r, i.e. the
+    first bit of a group is the most significant.
     """
 
-    mask: SubsetMask
     selected: np.ndarray
-    bits_per_symbol: int
+
+    def __post_init__(self) -> None:
+        k = self.selected.shape[0]
+        if 2**self.bits_per_symbol != k:
+            raise ValueError(f"subset size must be a power of two, got {k}")
 
     @classmethod
     def from_mask(cls, mask: SubsetMask) -> "SymbolLabeling":
-        k = mask.k
-        q = k.bit_length() - 1
-        if 2**q != k:
-            raise ValueError(f"subset size must be a power of two, got {k}")
-        return cls(mask=mask, selected=mask.indices, bits_per_symbol=q)
+        return cls(selected=mask.indices)
+
+    @property
+    def bits_per_symbol(self) -> int:
+        return self.selected.shape[0].bit_length() - 1
 
     def label_bits(self) -> np.ndarray:
         """(q, K) matrix: entry [j, r] is bit j of label r."""
         q = self.bits_per_symbol
-        ranks = np.arange(self.mask.k)
+        ranks = np.arange(self.selected.shape[0])
         return ((ranks[None, :] >> (q - 1 - np.arange(q))[:, None]) & 1).astype(bool)
 
 
@@ -77,8 +80,11 @@ def map_bits(codebits: np.ndarray, lab: SymbolLabeling) -> tuple[np.ndarray, int
 def demap_bits(indices: np.ndarray, lab: SymbolLabeling) -> np.ndarray:
     """Inverse of map_bits (padding included)."""
     q = lab.bits_per_symbol
-    ranks = np.searchsorted(lab.selected, np.asarray(indices))
-    if not np.array_equal(lab.selected[ranks], np.asarray(indices)):
+    indices = np.asarray(indices)
+    order = np.argsort(lab.selected)
+    at = np.searchsorted(lab.selected, indices, sorter=order)
+    ranks = order[np.minimum(at, order.shape[0] - 1)]
+    if not np.array_equal(lab.selected[ranks], indices):
         raise ValueError("index not in the selected subset")
     out = ((ranks[:, None] >> (q - 1 - np.arange(q))[None, :]) & 1).astype(np.uint8)
     return out.ravel()
@@ -115,11 +121,6 @@ def compute_llrs_block(
     return np.clip(llrs, -LLR_CLIP, LLR_CLIP)
 
 
-def compute_llrs(ch: DmcChannel, lab: SymbolLabeling, y_index: int) -> np.ndarray:
-    """Bit-1 log-odds of the log2(K) bits carried by one received output."""
-    return compute_llrs_block(ch, lab, np.asarray([y_index]))[0]
-
-
 @dataclass(frozen=True)
 class BerRecord:
     """Error counts of one simulated SNR point (one code seed)."""
@@ -129,9 +130,12 @@ class BerRecord:
     bit_errors: int
     frame_errors: int
     frames: int
-    ber: float
     code_rate: float
     seed: int | None = None
+
+    @property
+    def ber(self) -> float:
+        return self.bit_errors / self.bits_sent if self.bits_sent else 0.0
 
 
 def average_ber_records(records: list[BerRecord]) -> list[BerRecord]:
@@ -141,16 +145,13 @@ def average_ber_records(records: list[BerRecord]) -> list[BerRecord]:
         by_snr.setdefault(rec.snr_db, []).append(rec)
     out = []
     for snr_db, group in by_snr.items():
-        bits = sum(r.bits_sent for r in group)
-        errs = sum(r.bit_errors for r in group)
         out.append(
             BerRecord(
                 snr_db=snr_db,
-                bits_sent=bits,
-                bit_errors=errs,
+                bits_sent=sum(r.bits_sent for r in group),
+                bit_errors=sum(r.bit_errors for r in group),
                 frame_errors=sum(r.frame_errors for r in group),
                 frames=sum(r.frames for r in group),
-                ber=errs / bits if bits else 0.0,
                 code_rate=group[0].code_rate,
                 seed=None,
             )
@@ -225,15 +226,13 @@ def run_coded_ber(
                 bit_errors += int(errs.sum())
                 frame_errors += int(np.count_nonzero(errs))
                 frames += batch
-            bits_sent = frames * k_msg
             records.append(
                 BerRecord(
                     snr_db=snr_db,
-                    bits_sent=bits_sent,
+                    bits_sent=frames * k_msg,
                     bit_errors=bit_errors,
                     frame_errors=frame_errors,
                     frames=frames,
-                    ber=bit_errors / bits_sent if bits_sent else 0.0,
                     code_rate=code.rate,
                     seed=int(seed),
                 )

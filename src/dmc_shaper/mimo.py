@@ -26,9 +26,9 @@ from .channel import DmcChannel, _freeze
 QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128)
 
 DEFAULT_ALPHABET_CAP = 1 << 16
-# Largest float64 M x L transition matrix a build may ask for (1 GiB). The
-# channel holds two such matrices plus temporaries of the same size, so the
-# per-alphabet cap alone would admit a T=N=8 build of 34 GB per matrix.
+# Largest float64 M x L transition matrix plus (L, 2N) sign table a build may
+# ask for (1 GiB); it holds a few arrays of each size at once. The per-alphabet
+# cap alone would admit a T=N=8 build of 34 GB per matrix.
 _MAX_MATRIX_BYTES = 1 << 30
 
 
@@ -159,10 +159,10 @@ def build_quantized_mimo(
         raise ValueError(
             f"alphabet sizes {m}x{l} exceed the configured cap {max_alphabet}"
         )
-    if m * l * 8 > _MAX_MATRIX_BYTES:
+    if (m + 2 * n) * l * 8 > _MAX_MATRIX_BYTES:
         raise ValueError(
-            f"a {m}x{l} transition matrix needs {m * l * 8} bytes, over the "
-            f"{_MAX_MATRIX_BYTES}-byte budget"
+            f"a {m}x{l} transition matrix and its {l}x{2 * n} sign table need "
+            f"{(m + 2 * n) * l * 8} bytes, over the {_MAX_MATRIX_BYTES}-byte budget"
         )
     xs = enumerate_qpsk_inputs(t)
     comp = _signed_components(h, xs)  # (M, 2N)
@@ -199,13 +199,3 @@ def sample_receive_many(
     noise = rng.standard_normal(comp.shape) * np.sqrt(0.5)
     r = np.sqrt(snr.ptr_over_sigma2) * comp + noise
     return output_index_from_signs(r >= 0.0)
-
-
-def sample_receive(
-    h: ComplexChannelMatrix,
-    x: np.ndarray,
-    snr: SnrPoint,
-    rng: np.random.Generator | int,
-) -> int:
-    """Quantized output index for one transmitted vector."""
-    return int(sample_receive_many(h, np.asarray(x)[None, :], snr, rng)[0])

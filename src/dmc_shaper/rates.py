@@ -127,6 +127,14 @@ def cutoff_rate(ch: DmcChannel, mask: SubsetMask) -> float:
 # ---------------------------------------------------------------------------
 
 
+def check_stopping_rule(tol: float, max_iter: int) -> None:
+    """Raise ValueError unless an iterative solver can stop on (tol, max_iter)."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 @dataclass(frozen=True)
 class BaResult:
     """Capacity estimate with the bracketing bounds at termination.
@@ -152,10 +160,7 @@ def blahut_arimoto(ch: DmcChannel, tol: float = 1e-9, max_iter: int = 200_000) -
     from the current output distribution. Stops when the capacity bracket
     max_x D(x) - sum_x p(x) D(x) falls below ``tol`` (in bits).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_stopping_rule(tol, max_iter)
     trans = ch.trans
     m = ch.num_inputs
     # Row "negative entropy" sum_y P log P is constant across iterations.

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import DmcChannel, SubsetMask
 from .mimo import qpsk_rotation
-from .rates import cutoff_bits, cutoff_rate
+from .rates import check_stopping_rule, cutoff_bits, cutoff_rate
 
 _RHO_INIT = 1.0  # ADMM penalty at the start; residual balancing rescales it
 _ALPHA = 1.6  # ADMM over-relaxation
@@ -242,10 +242,7 @@ def solve_sdp(b_mat: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000
     and projects three Fourier blocks of size about M/4; the iterates and
     residuals equal the plain loop's up to rounding.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_stopping_rule(tol, max_iter)
     b_mat = np.asarray(b_mat, dtype=np.float64)
     n = b_mat.shape[0]
     m = n - 1

@@ -4,12 +4,14 @@
 callers look them up by, and ``perfbench/selftest.py`` patches four more. A
 refactor that drops one of those imports breaks a traced benchmark run in
 ``Tracer.install``; a refactor that drops a keyword or a CLI flag that
-``perfbench/workloads.py`` passes breaks every run. These tests catch both in
+``perfbench/workloads.py`` passes breaks every run, and so does one that
+drops a result attribute the benchmark reads. These tests catch all three in
 the ordinary suite.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from dmc_shaper import channel, cli, link, mimo, sdp, subset_search
+from dmc_shaper import channel, cli, ldpc, link, mimo, rates, sdp, subset_search
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -89,3 +91,31 @@ def test_sweep_argv_parses(h_spec, ks):
          "--methods", "sdp,bsa,full", "--seed", "1"]
     )
     assert args.func is cli.cmd_sweep
+
+
+# Result attributes the workloads' checks and the span counters read.
+RESULT_ATTRIBUTES = [
+    (sdp.SdpSelectResult, ("mask", "cutoff_rate_bits", "sdp_objective")),
+    (link.BerRecord, ("frames", "bits_sent", "bit_errors", "frame_errors", "ber")),
+    (sdp.SdpSolution, ("iterations", "converged")),
+    (rates.BaResult, ("iterations", "converged")),
+    (ldpc.BpResult, ("iterations", "converged")),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, names", RESULT_ATTRIBUTES, ids=[c.__name__ for c, _ in RESULT_ATTRIBUTES]
+)
+def test_result_attributes_exist(cls, names):
+    # A field or a property serves the benchmark equally.
+    fields = {f.name for f in dataclasses.fields(cls)}
+    for name in names:
+        assert name in fields or isinstance(getattr(cls, name, None), property), (
+            f"{cls.__name__}.{name}"
+        )
+
+
+def test_bsa_result_positional_fields():
+    # perfbench/selftest.py rebuilds a BsaResult from these fields by position.
+    names = [f.name for f in dataclasses.fields(subset_search.BsaResult)]
+    assert names[:5] == ["mask", "ser", "truncated", "initial_sers", "final_sers"]

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,15 +257,24 @@ class TestSweep:
         assert "out of range" in err
 
     @pytest.mark.parametrize(
-        "h_spec, k, methods, message",
+        "h_spec, k, methods, message, extra",
         [
-            (None, "4,16", "sdp,bsa", "k must be in [2, 15]"),
-            ("bundled", "16", "sdp,exhaustive", "exceeds the guard"),
+            (None, "4,16", "sdp,bsa", "k must be in [2, 15]", ()),
+            ("bundled", "16", "sdp,exhaustive", "exceeds the guard", ()),
+            (None, "4", "sdp", "n_rand must be in", ("--nrand", "0")),
+            (None, "4", "bsa", "restarts must be at least 1", ("--restarts", "0")),
+            (None, "4", "sdp", "tol must be positive", ("--sdp-tol", "0")),
+            (None, "4", "sdp", "max_iter must be at least 1", ("--sdp-max-iter", "0")),
+            (None, "4", "full", "tol must be positive", ("--ba-tol", "0")),
+            (None, "4", "full", "max_iter must be at least 1", ("--ba-max-iter", "0")),
         ],
-        ids=["bsa-k-equals-m", "exhaustive-over-guard"],
+        ids=[
+            "bsa-k-equals-m", "exhaustive-over-guard", "nrand-0", "restarts-0",
+            "sdp-tol-0", "sdp-max-iter-0", "ba-tol-0", "ba-max-iter-0",
+        ],
     )
     def test_bad_configuration_rejected_before_any_point(
-        self, capsys, h_file, monkeypatch, h_spec, k, methods, message
+        self, capsys, h_file, monkeypatch, h_spec, k, methods, message, extra
     ):
         def no_point(*args, **kwargs):
             raise AssertionError("an SNR point was computed")
@@ -271,7 +282,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "build_quantized_mimo", no_point)
         code, out, err = run_cli(
             capsys, "sweep", "--h-matrix", h_spec or h_file, "--snr-db", "0",
-            "--k", k, "--methods", methods,
+            "--k", k, "--methods", methods, *extra,
         )
         assert code == 1
         assert out == ""
@@ -374,13 +385,20 @@ class TestCodedBer:
         assert code == 0
 
 
+def _checkout_env() -> dict:
+    """Environment in which a subprocess imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "bsc.json"
         path.write_text(json.dumps({"M": 2, "L": 2, "P": [[0.9, 0.1], [0.1, 0.9]]}))
         proc = subprocess.run(
             [sys.executable, "-m", "dmc_shaper", "validate", "--channel", str(path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_checkout_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("OK")
@@ -388,7 +406,7 @@ class TestEntryPoint:
     def test_version_flag(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "dmc_shaper", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_checkout_env(),
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout

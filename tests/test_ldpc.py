@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dmc_shaper import LdpcCode, bp_decode, build_ldpc
-from dmc_shaper.ldpc import bp_decode_batch
+from dmc_shaper.ldpc import RankDeficientError, bp_decode_batch
 
 
 class TestBuildLdpc:
@@ -86,12 +86,19 @@ class TestBuildLdpc:
     def test_hand_built_code_without_edges_rejected(self, h, match):
         h = np.array(h, dtype=np.uint8)
         with pytest.raises(ValueError, match=match):
-            LdpcCode(
-                h=h,
-                generator=np.zeros((1, h.shape[1]), dtype=np.uint8),
-                message_positions=np.array([0]),
-                rate=1 / h.shape[1],
-            )
+            LdpcCode(h=h)
+
+    def test_hand_built_code_derives_its_encoder(self):
+        h = np.array([[1, 1, 0, 1], [0, 1, 1, 1]], dtype=np.uint8)
+        code = LdpcCode(h)
+        assert code.message_length == 2 and code.rate == 0.5
+        assert not ((code.generator.astype(np.int64) @ h.T) & 1).any()
+        np.testing.assert_array_equal(code.generator[:, code.message_positions], np.eye(2))
+
+    def test_rank_deficient_parity_matrix_rejected(self):
+        h = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+        with pytest.raises(RankDeficientError, match="rank 2 < 3"):
+            LdpcCode(h)
 
     def test_degenerate_construction_fails_after_retries(self):
         # Two checks and weight-2 columns force identical rows: rank 1 < 2.

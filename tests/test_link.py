@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from dmc_shaper import (
     bp_decode,
     build_ldpc,
     build_quantized_mimo,
-    compute_llrs,
     compute_llrs_block,
     demap_bits,
     enumerate_qpsk_inputs,
@@ -90,12 +90,27 @@ class TestMapBits:
         np.testing.assert_array_equal(back[:n_bits], bits)
         assert back.shape[0] == n_bits + n_pad
 
+    @pytest.mark.parametrize(
+        "index", [7, 0, 5, -1], ids=["above-largest", "below", "gap", "negative"]
+    )
+    def test_index_outside_subset_rejected(self, index):
+        lab = SymbolLabeling.from_mask(SubsetMask.from_indices(8, [1, 3, 4, 6]))
+        with pytest.raises(ValueError, match="not in the selected subset"):
+            demap_bits([index], lab)
+
+    def test_round_trip_with_unsorted_labeling(self):
+        lab = SymbolLabeling(selected=np.array([6, 1, 4, 3]))
+        bits = np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8)
+        indices, _ = map_bits(bits, lab)
+        np.testing.assert_array_equal(indices, [6, 1, 4, 3])
+        np.testing.assert_array_equal(demap_bits(indices, lab), bits)
+
 
 class TestComputeLlrs:
     def test_two_symbol_log_odds(self):
         ch = DmcChannel.from_probs(np.array([[0.8, 0.2], [0.2, 0.8]]))
         lab = SymbolLabeling.from_mask(SubsetMask.full(2))
-        llr = compute_llrs(ch, lab, 0)
+        llr = compute_llrs_block(ch, lab, [0])[0]
         assert llr[0] == pytest.approx(math.log(0.2 / 0.8), abs=1e-12)
 
     def test_symmetric_partition_gives_zero(self):
@@ -105,7 +120,7 @@ class TestComputeLlrs:
         ch = DmcChannel.from_probs(p)
         lab = SymbolLabeling.from_mask(SubsetMask.full(4))
         # Bit 0 splits {0,1} vs {2,3}: likelihoods match pairwise.
-        llr = compute_llrs(ch, lab, 0)
+        llr = compute_llrs_block(ch, lab, [0])[0]
         assert llr[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_posterior_consistency(self):
@@ -114,7 +129,7 @@ class TestComputeLlrs:
         lab = SymbolLabeling.from_mask(SubsetMask.from_indices(8, [0, 2, 3, 7]))
         bits = lab.label_bits()
         for y in range(6):
-            llr = compute_llrs(ch, lab, y)
+            llr = compute_llrs_block(ch, lab, [y])[0]
             probs = ch.trans[lab.selected, y]
             for j in range(2):
                 want = probs[bits[j]].sum() / probs.sum()
@@ -125,7 +140,7 @@ class TestComputeLlrs:
         p = np.array([[1.0 - 1e-30, 1e-30], [1e-30, 1.0 - 1e-30]])
         ch = DmcChannel.from_probs(p)
         lab = SymbolLabeling.from_mask(SubsetMask.full(2))
-        llr = compute_llrs(ch, lab, 0)
+        llr = compute_llrs_block(ch, lab, [0])[0]
         assert llr[0] == -40.0
 
     def test_unreachable_output_warns_and_zeroes(self):
@@ -133,7 +148,7 @@ class TestComputeLlrs:
         ch = DmcChannel.from_probs(p)
         lab = SymbolLabeling.from_mask(SubsetMask.from_indices(3, [0, 1]))
         with pytest.warns(RuntimeWarning, match="zero likelihood"):
-            llr = compute_llrs(ch, lab, 2)
+            llr = compute_llrs_block(ch, lab, [2])[0]
         np.testing.assert_array_equal(llr, [0.0])
 
     def test_block_matches_scalar(self):
@@ -142,7 +157,7 @@ class TestComputeLlrs:
         lab = SymbolLabeling.from_mask(SubsetMask.full(4))
         block = compute_llrs_block(ch, lab, np.array([0, 3, 1]))
         for row, y in zip(block, (0, 3, 1)):
-            np.testing.assert_allclose(row, compute_llrs(ch, lab, y), atol=0)
+            np.testing.assert_allclose(row, compute_llrs_block(ch, lab, [y])[0], atol=0)
 
 
 class TestUncodedMonteCarlo:
@@ -284,7 +299,7 @@ class TestRunCodedBer:
                     BerRecord(
                         snr_db=snr_db, bits_sent=bits_sent, bit_errors=bit_errors,
                         frame_errors=frame_errors, frames=frames,
-                        ber=bit_errors / bits_sent, code_rate=code.rate, seed=seed,
+                        code_rate=code.rate, seed=seed,
                     )
                 )
         return records
@@ -320,6 +335,13 @@ class TestRunCodedBer:
 
 
 class TestAverageBerRecords:
+    def test_ber_is_errors_over_bits_sent(self):
+        rec = BerRecord(
+            snr_db=0.0, bits_sent=40, bit_errors=3, frame_errors=1, frames=2, code_rate=0.5
+        )
+        assert rec.ber == 3 / 40
+        assert dataclasses.replace(rec, bits_sent=0, bit_errors=0).ber == 0.0
+
     def test_merged_counts_are_per_seed_sums(self):
         h = random_h(2, 2, seed=86)
         mask = SubsetMask.from_indices(16, [1, 6, 11, 12])

@@ -14,9 +14,9 @@ from dmc_shaper import (
     enumerate_qpsk_inputs,
     example_h4x4,
     load_h_matrix,
-    sample_receive,
     sample_receive_many,
 )
+from dmc_shaper import mimo
 from dmc_shaper.mimo import output_index_from_signs, qpsk_rotation
 
 
@@ -193,6 +193,13 @@ class TestBuildQuantizedMimo:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_sign_table_counts_toward_byte_budget(self, monkeypatch):
+        # T=1, N=7: the 4 x 16384 matrix takes 512 KiB, but the (16384, 14)
+        # float64 sign table takes 1.75 MiB.
+        monkeypatch.setattr(mimo, "_MAX_MATRIX_BYTES", 1 << 20)
+        with pytest.raises(ValueError, match="sign table"):
+            build_quantized_mimo(random_h(7, 1, seed=3), SnrPoint.from_db(0.0))
+
 
 class TestSampleReceive:
     def test_noiseless_matches_sign_pattern(self):
@@ -201,7 +208,7 @@ class TestSampleReceive:
         snr = SnrPoint.from_db(140.0)
         ch = build_quantized_mimo(h, snr)
         for i in (0, 3, 9, 15):
-            got = sample_receive(h, xs[i], snr, rng=0)
+            (got,) = sample_receive_many(h, xs[i], snr, rng=0)
             assert got == int(ch.trans[i].argmax())
 
     def test_fixed_seed_reproducible(self):
