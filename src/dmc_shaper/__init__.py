@@ -44,7 +44,6 @@ from .rates import (
     uniform_subset_rate,
 )
 from .sdp import (
-    GramMatrix,
     RoundingConfig,
     SdpSelectResult,
     SdpSolution,
@@ -71,7 +70,6 @@ __all__ = [
     "BsaResult",
     "ComplexChannelMatrix",
     "DmcChannel",
-    "GramMatrix",
     "InputDistribution",
     "LdpcCode",
     "RoundingConfig",

@@ -131,28 +131,34 @@ class InputDistribution:
         return cls(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetMask:
-    """Boolean selector over the M inputs with exactly k true entries."""
+    """Boolean selector over the M inputs; ``k``, its number of true entries,
+    is derived and must lie in [2, M]. Masks compare and hash by ``bits``."""
 
     bits: np.ndarray
-    k: int
 
     def __post_init__(self) -> None:
         bits = np.ascontiguousarray(self.bits, dtype=bool)
         if bits.ndim != 1:
             raise ValueError("mask bits must be 1-D")
-        m = bits.shape[0]
-        pop = int(bits.sum())
-        if pop != self.k:
-            raise ValueError(f"mask has {pop} selected inputs, k says {self.k}")
-        if not (2 <= self.k <= m):
-            raise ValueError(f"k must be in [2, {m}], got {self.k}")
         object.__setattr__(self, "bits", _freeze(bits))
+        if not (2 <= self.k <= self.m):
+            raise ValueError(f"k must be in [2, {self.m}], got {self.k}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SubsetMask) and np.array_equal(self.bits, other.bits)
+
+    def __hash__(self) -> int:
+        return hash(self.bits.tobytes())
 
     @property
     def m(self) -> int:
         return self.bits.shape[0]
+
+    @property
+    def k(self) -> int:
+        return int(np.count_nonzero(self.bits))
 
     @property
     def indices(self) -> np.ndarray:
@@ -173,11 +179,11 @@ class SubsetMask:
         k = int(bits.sum())
         if k != idx.size:
             raise ValueError(f"{idx.size - k} duplicate indices")
-        return cls(bits=bits, k=k)
+        return cls(bits)
 
     @classmethod
     def full(cls, m: int) -> "SubsetMask":
-        return cls(bits=np.ones(m, dtype=bool), k=m)
+        return cls(np.ones(m, dtype=bool))
 
 
 def restrict(ch: DmcChannel, mask: SubsetMask) -> DmcChannel:

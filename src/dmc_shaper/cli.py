@@ -34,8 +34,14 @@ from .subset_search import check_bsa_size, check_exhaustive_size
 CSV_HEADER_COMMENT = f"# dmc-shaper v{__version__}"
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_snr_db(text: str) -> list[float]:
+    """A non-empty list of dB values, each checked by ``SnrPoint``."""
+    snrs = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not snrs:
+        raise ValueError("need at least one SNR point")
+    for snr_db in snrs:
+        SnrPoint.from_db(snr_db)
+    return snrs
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -86,8 +92,8 @@ def _load_mask(spec: str, m: int) -> SubsetMask:
 
 def cmd_build_mimo(args: argparse.Namespace) -> int:
     h = _load_h(args.h_matrix)
-    snrs = _parse_float_list(args.snr_db)
-    for i, snr_db in enumerate(snrs):
+    snrs = _parse_snr_db(args.snr_db)
+    for snr_db in snrs:
         ch = build_quantized_mimo(h, SnrPoint.from_db(snr_db), max_alphabet=args.max_alphabet)
         if args.out:
             path = args.out if len(snrs) == 1 else _indexed_path(args.out, snr_db)
@@ -200,14 +206,14 @@ def _sweep_point(
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     h = _load_h(args.h_matrix)
-    snrs = _parse_float_list(args.snr_db)
+    snrs = _parse_snr_db(args.snr_db)
     ks = _parse_int_list(args.k)
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     for method in methods:
         if method not in ("sdp", "bsa", "exhaustive", "full"):
             raise ValueError(f"unknown method {method!r}")
-    if not snrs or not ks or not methods:
-        raise ValueError("need at least one SNR, one k, and one method")
+    if not ks or not methods:
+        raise ValueError("need at least one k and one method")
     m = 4**h.n_tx
     for k in ks:
         if not (2 <= k <= m):
@@ -243,7 +249,7 @@ def cmd_coded_ber(args: argparse.Namespace) -> int:
     h = _load_h(args.h_matrix)
     m = 4**h.n_tx
     mask = _load_mask(args.mask, m)
-    snrs = _parse_float_list(args.snr_db)
+    snrs = _parse_snr_db(args.snr_db)
     seeds = [args.seed + i for i in range(args.ensemble)]
     records = run_coded_ber(
         h,

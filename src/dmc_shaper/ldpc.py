@@ -19,13 +19,13 @@ LLR_CLIP = 40.0
 _TANH_LIMIT = 1.0 - 1e-15
 
 
-@dataclass
+@dataclass(eq=False)
 class LdpcCode:
     """Parity-check matrix ``h`` with the systematic encoder derived from it.
 
     ``message_positions`` are the codeword coordinates that carry the message
     verbatim; the rest are parity. ``h`` must have full row rank (else
-    ``RankDeficientError``) and no empty row or column.
+    ``RankDeficientError``) and no empty row or column. Codes compare by ``h``.
     """
 
     h: np.ndarray
@@ -73,6 +73,9 @@ class LdpcCode:
         self._edge_check = chk
         self._edge_var = var
         self._generator_f = np.asarray(self.generator, dtype=np.float64)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LdpcCode) and np.array_equal(self.h, other.h)
 
     @property
     def n(self) -> int:

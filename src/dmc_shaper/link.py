@@ -79,15 +79,13 @@ def map_bits(codebits: np.ndarray, lab: SymbolLabeling) -> tuple[np.ndarray, int
 
 def demap_bits(indices: np.ndarray, lab: SymbolLabeling) -> np.ndarray:
     """Inverse of map_bits (padding included)."""
-    q = lab.bits_per_symbol
     indices = np.asarray(indices)
     order = np.argsort(lab.selected)
     at = np.searchsorted(lab.selected, indices, sorter=order)
     ranks = order[np.minimum(at, order.shape[0] - 1)]
     if not np.array_equal(lab.selected[ranks], indices):
         raise ValueError("index not in the selected subset")
-    out = ((ranks[:, None] >> (q - 1 - np.arange(q))[None, :]) & 1).astype(np.uint8)
-    return out.ravel()
+    return lab.label_bits()[:, ranks].T.astype(np.uint8).ravel()
 
 
 def compute_llrs_block(
@@ -189,6 +187,7 @@ def run_coded_ber(
     snrs = [float(snr_db) for snr_db in snr_db_list]
     if len(set(snrs)) != len(snrs):
         raise ValueError(f"SNR points must be distinct, got {snrs}")
+    points = [SnrPoint.from_db(snr_db) for snr_db in snrs]
     lab = SymbolLabeling.from_mask(mask)
     q = lab.bits_per_symbol
     code_rate = total_rate / q
@@ -204,8 +203,7 @@ def run_coded_ber(
     for seed in seeds:
         code = build_ldpc(n, code_rate, col_weight=3, seed=seed)
         k_msg = code.message_length
-        for snr_db in snrs:
-            snr = SnrPoint.from_db(snr_db)
+        for snr in points:
             ch = build_quantized_mimo(h, snr)
             llr_table = compute_llrs_block(ch, lab, np.arange(ch.num_outputs))
             bit_errors = 0
@@ -228,7 +226,7 @@ def run_coded_ber(
                 frames += batch
             records.append(
                 BerRecord(
-                    snr_db=snr_db,
+                    snr_db=snr.db,
                     bits_sent=frames * k_msg,
                     bit_errors=bit_errors,
                     frame_errors=frame_errors,

@@ -12,6 +12,7 @@ the sign of component (i, c) of receive antenna i, with bit 1 meaning +1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -83,26 +84,28 @@ def example_h4x4() -> ComplexChannelMatrix:
 
 @dataclass(frozen=True)
 class SnrPoint:
-    """Transmit power over noise variance, kept in linear and dB form."""
+    """Transmit power over noise variance, stored in dB; the linear ratio
+    ``ptr_over_sigma2`` is derived and must be a finite positive float."""
 
-    ptr_over_sigma2: float
     db: float
 
     def __post_init__(self) -> None:
-        if not (self.ptr_over_sigma2 > 0.0):
-            raise ValueError("linear SNR must be positive")
-        if abs(10.0 ** (self.db / 10.0) - self.ptr_over_sigma2) > 1e-9 * self.ptr_over_sigma2:
-            raise ValueError("dB and linear SNR values disagree")
+        # A Python float raises OverflowError where a numpy scalar gives inf.
+        object.__setattr__(self, "db", float(self.db))
+        try:
+            usable = 0.0 < self.ptr_over_sigma2 < math.inf
+        except OverflowError:
+            usable = False
+        if not usable:
+            raise ValueError(f"SNR of {self.db!r} dB has no finite positive linear value")
+
+    @property
+    def ptr_over_sigma2(self) -> float:
+        return 10.0 ** (self.db / 10.0)
 
     @classmethod
     def from_db(cls, db: float) -> "SnrPoint":
-        return cls(ptr_over_sigma2=10.0 ** (db / 10.0), db=db)
-
-    @classmethod
-    def from_linear(cls, linear: float) -> "SnrPoint":
-        if linear <= 0.0:
-            raise ValueError("linear SNR must be positive")
-        return cls(ptr_over_sigma2=linear, db=10.0 * np.log10(linear))
+        return cls(db)
 
 
 def enumerate_qpsk_inputs(t: int) -> np.ndarray:

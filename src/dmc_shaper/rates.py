@@ -129,7 +129,7 @@ def cutoff_rate(ch: DmcChannel, mask: SubsetMask) -> float:
 
 def check_stopping_rule(tol: float, max_iter: int) -> None:
     """Raise ValueError unless an iterative solver can stop on (tol, max_iter)."""
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails this test too
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -139,17 +139,20 @@ def check_stopping_rule(tol: float, max_iter: int) -> None:
 class BaResult:
     """Capacity estimate with the bracketing bounds at termination.
 
-    ``capacity_bits`` is the lower bound, achieved by ``input_dist``; the true
-    capacity lies in [lower_bits, upper_bits]. ``converged`` is False when the
-    iteration cap was hit before the gap fell below the tolerance.
+    The true capacity lies in [lower_bits, upper_bits]; ``capacity_bits`` is
+    ``lower_bits``, achieved by ``input_dist``. ``converged`` is False when
+    the iteration cap was hit before the gap fell below the tolerance.
     """
 
-    capacity_bits: float
     input_dist: InputDistribution
     lower_bits: float
     upper_bits: float
     iterations: int
     converged: bool
+
+    @property
+    def capacity_bits(self) -> float:
+        return self.lower_bits
 
 
 def blahut_arimoto(ch: DmcChannel, tol: float = 1e-9, max_iter: int = 200_000) -> BaResult:
@@ -186,7 +189,6 @@ def blahut_arimoto(ch: DmcChannel, tol: float = 1e-9, max_iter: int = 200_000) -
 
     # Bounds belong to the last evaluated distribution, not the final update.
     return BaResult(
-        capacity_bits=lower,
         input_dist=InputDistribution(p_eval),
         lower_bits=lower,
         upper_bits=upper,

@@ -26,29 +26,6 @@ _ALPHA = 1.6  # ADMM over-relaxation
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric unit-diagonal matrix of pairwise row confusability in [0, 1]."""
-
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.ascontiguousarray(self.a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        if not np.array_equal(a, a.T):
-            raise ValueError("Gram matrix must be symmetric")
-        if np.any(a < 0.0) or np.any(a > 1.0):
-            raise ValueError("Gram entries must lie in [0, 1]")
-        if not np.all(np.diag(a) == 1.0):
-            raise ValueError("Gram diagonal must be exactly 1")
-        object.__setattr__(self, "a", a)
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-
-@dataclass(frozen=True)
 class SdpSolution:
     """PSD iterate of the relaxed program with solver diagnostics.
 
@@ -76,21 +53,19 @@ class RoundingConfig:
             raise ValueError("rng_seed must be non-negative")
 
 
-def build_gram(ch: DmcChannel) -> GramMatrix:
-    """Pairwise confusability A_ij = sum_y sqrt(P(y|i) P(y|j))."""
+def build_gram(ch: DmcChannel) -> np.ndarray:
+    """Pairwise confusability A_ij = sum_y sqrt(P(y|i) P(y|j)): an exactly
+    symmetric M x M array with entries in [0, 1] and a diagonal of 1."""
     sq = np.sqrt(ch.trans)
     a = sq @ sq.T
     a = np.minimum((a + a.T) / 2.0, 1.0)
     np.fill_diagonal(a, 1.0)
-    return GramMatrix(a)
+    return a
 
 
-def embed(a: GramMatrix) -> np.ndarray:
-    """Zero-bordered (M+1) x (M+1) embedding of the Gram matrix."""
-    m = a.m
-    b = np.zeros((m + 1, m + 1))
-    b[:m, :m] = a.a
-    return b
+def embed(a: np.ndarray) -> np.ndarray:
+    """Zero-bordered (M+1) x (M+1) embedding of an M x M Gram matrix."""
+    return np.pad(a, (0, 1))
 
 
 # Orbit coordinates pay off from this M on: on a 2-core x86 box, 300
@@ -365,14 +340,26 @@ def round_solution(
 
 @dataclass(frozen=True)
 class SdpSelectResult:
-    """Output of the full relaxation pipeline for one channel and k."""
+    """Output of the full relaxation pipeline for one channel and k.
+
+    Derived from ``solution``: ``sdp_objective``, the relaxation's objective,
+    and ``sdp_bound_bits``, the cutoff-rate upper bound 2*log2(k) -
+    log2(objective) it gives (inf unless the objective is positive).
+    """
 
     mask: SubsetMask
     cutoff_rate_bits: float
     rounded_objective: float
-    sdp_objective: float
-    sdp_bound_bits: float
     solution: SdpSolution
+
+    @property
+    def sdp_objective(self) -> float:
+        return self.solution.objective
+
+    @property
+    def sdp_bound_bits(self) -> float:
+        obj = self.sdp_objective
+        return float(cutoff_bits(self.mask.k, obj)) if obj > 0.0 else math.inf
 
 
 def sdp_select(
@@ -382,23 +369,16 @@ def sdp_select(
     cfg: RoundingConfig | None = None,
     max_iter: int = 5000,
 ) -> SdpSelectResult:
-    """Gram build, lift, relaxed solve, factorization, and rounding in one call.
-
-    ``sdp_bound_bits`` converts the relaxation objective into the cutoff-rate
-    upper bound 2*log2(k) - log2(objective) for context.
-    """
+    """Gram build, lift, relaxed solve, factorization, and rounding in one call."""
     if cfg is None:
         cfg = RoundingConfig()
     b_mat = embed(build_gram(ch))
     sol = solve_sdp(b_mat, k, tol=tol, max_iter=max_iter)
     v = psd_factorize(sol)
     mask, rounded_obj = round_solution(v, k, b_mat, cfg)
-    bound = float(cutoff_bits(k, sol.objective)) if sol.objective > 0.0 else math.inf
     return SdpSelectResult(
         mask=mask,
         cutoff_rate_bits=cutoff_rate(ch, mask),
         rounded_objective=rounded_obj,
-        sdp_objective=sol.objective,
-        sdp_bound_bits=bound,
         solution=sol,
     )

@@ -105,7 +105,7 @@ def desk_instances():
             cfg=d.RoundingConfig(n_rand=100, rng_seed=seed), max_iter=20_000,
         )
         bsa_res = d.bsa_select(ch, d.BsaConfig(k=4, restarts=20, rng_seed=seed))
-        a = build_gram(ch).a
+        a = build_gram(ch)
         bool_min = float(
             a[combos[:, :, None], combos[:, None, :]].sum(axis=(1, 2)).min()
         )

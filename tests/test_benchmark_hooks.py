@@ -96,6 +96,10 @@ def test_sweep_argv_parses(h_spec, ks):
 # Result attributes the workloads' checks and the span counters read.
 RESULT_ATTRIBUTES = [
     (sdp.SdpSelectResult, ("mask", "cutoff_rate_bits", "sdp_objective")),
+    (channel.SubsetMask, ("m", "k", "indices")),
+    (mimo.ComplexChannelMatrix, ("entries", "n_tx")),
+    (channel.DmcChannel, ("trans", "num_inputs")),
+    (subset_search.BsaResult, ("mask", "ser")),
     (link.BerRecord, ("frames", "bits_sent", "bit_errors", "frame_errors", "ber")),
     (sdp.SdpSolution, ("iterations", "converged")),
     (rates.BaResult, ("iterations", "converged")),

@@ -108,9 +108,17 @@ class TestSubsetMask:
         mask = SubsetMask.full(4)
         assert mask.k == 4
 
-    def test_popcount_mismatch(self):
-        with pytest.raises(ValueError):
-            SubsetMask(bits=np.array([True, False, True]), k=3)
+    def test_k_derived_from_bits(self):
+        assert SubsetMask(np.array([True, False, True])).k == 2
+
+    def test_equality_and_hash_follow_bits(self):
+        a = SubsetMask.from_indices(4, [0, 2])
+        b = SubsetMask.from_indices(4, [2, 0])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != SubsetMask.from_indices(4, [0, 3])
+        assert a != SubsetMask.from_indices(5, [0, 2])
+        assert a != [0, 2]
 
     def test_k_below_two(self):
         with pytest.raises(ValueError):

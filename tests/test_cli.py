@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmc_shaper import __version__, check_channel_dict, cli
+from dmc_shaper import __version__, check_channel_dict, cli, link
 from dmc_shaper.cli import main
 
 
@@ -113,6 +113,26 @@ class TestBuildMimo:
         assert check_channel_dict(doc) == []
         assert doc["M"] == 16
 
+    @pytest.mark.parametrize("snr_db", ["nan", "-inf", ",", "10,4000"])
+    def test_unusable_snr_rejected(self, capsys, h_file, snr_db):
+        code, out, err = run_cli(
+            capsys, "channel", "build-mimo", "--h-matrix", h_file, f"--snr-db={snr_db}"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("snr_db", ["4000", "inf"])
+    def test_unusable_snr_exits_without_traceback(self, h_file, snr_db):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dmc_shaper", "channel", "build-mimo",
+             "--h-matrix", h_file, f"--snr-db={snr_db}"],
+            capture_output=True, text=True, env=_checkout_env(),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
     def test_snr_list_writes_indexed_files(self, capsys, h_file, tmp_path):
         out = tmp_path / "ch.json"
         code, _, _ = run_cli(
@@ -143,6 +163,14 @@ class TestCapacity:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "max_iter" in err
+
+    def test_nan_tol_rejected(self, capsys, bsc_file):
+        code, out, err = run_cli(
+            capsys, "capacity", "ba", "--channel", bsc_file, "--tol", "nan"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "tol must be positive" in err
 
 
 class TestSelect:
@@ -266,11 +294,14 @@ class TestSweep:
             (None, "4", "sdp", "tol must be positive", ("--sdp-tol", "0")),
             (None, "4", "sdp", "max_iter must be at least 1", ("--sdp-max-iter", "0")),
             (None, "4", "full", "tol must be positive", ("--ba-tol", "0")),
+            (None, "4", "sdp", "tol must be positive", ("--sdp-tol", "nan")),
+            (None, "4", "full", "tol must be positive", ("--ba-tol", "nan")),
             (None, "4", "full", "max_iter must be at least 1", ("--ba-max-iter", "0")),
         ],
         ids=[
             "bsa-k-equals-m", "exhaustive-over-guard", "nrand-0", "restarts-0",
-            "sdp-tol-0", "sdp-max-iter-0", "ba-tol-0", "ba-max-iter-0",
+            "sdp-tol-0", "sdp-max-iter-0", "ba-tol-0", "sdp-tol-nan", "ba-tol-nan",
+            "ba-max-iter-0",
         ],
     )
     def test_bad_configuration_rejected_before_any_point(
@@ -327,6 +358,20 @@ class TestCodedBer:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("snr_db", [",", "4000", "0,inf"])
+    def test_unusable_snr_rejected(self, capsys, h_file, monkeypatch, snr_db):
+        def no_code(*args, **kwargs):
+            raise AssertionError("a code was built")
+
+        monkeypatch.setattr(link, "build_ldpc", no_code)
+        code, out, err = run_cli(
+            capsys, "coded-ber", "--h-matrix", h_file, "--mask", "full",
+            f"--snr-db={snr_db}", "--n", "24", "--total-rate", "2.0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "doc, message",

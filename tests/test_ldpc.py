@@ -65,6 +65,12 @@ class TestBuildLdpc:
         np.testing.assert_array_equal(a.h, b.h)
         np.testing.assert_array_equal(a.generator, b.generator)
 
+    def test_equality_follows_parity_matrix(self):
+        a = build_ldpc(24, 0.5, seed=0)
+        assert a == build_ldpc(24, 0.5, seed=0)
+        assert a != build_ldpc(24, 0.5, seed=1)
+        assert a == LdpcCode(a.h.copy())
+
     def test_different_seeds_differ(self):
         a = build_ldpc(100, 0.5, col_weight=3, seed=12)
         b = build_ldpc(100, 0.5, col_weight=3, seed=13)

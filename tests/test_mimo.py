@@ -30,18 +30,20 @@ class TestSnrPoint:
     def test_from_db(self):
         snr = SnrPoint.from_db(10.0)
         assert snr.ptr_over_sigma2 == pytest.approx(10.0)
-
-    def test_from_linear(self):
-        snr = SnrPoint.from_linear(100.0)
-        assert snr.db == pytest.approx(20.0)
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError):
-            SnrPoint(ptr_over_sigma2=10.0, db=3.0)
+        # The linear value is the expression channels were always built with.
+        assert SnrPoint.from_db(-12.5).ptr_over_sigma2 == 10.0 ** (-12.5 / 10.0)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            SnrPoint.from_linear(0.0)
+            SnrPoint.from_db(-np.inf)
+
+    @pytest.mark.parametrize(
+        "db", [np.inf, np.nan, 4000.0, np.float64(4000.0)],
+        ids=["inf", "nan", "4000", "numpy-4000"],
+    )
+    def test_unusable_db_rejected(self, db):
+        with pytest.raises(ValueError, match="finite positive"):
+            SnrPoint.from_db(db)
 
 
 class TestQpskEnumeration:

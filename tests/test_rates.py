@@ -332,5 +332,7 @@ class TestBlahutArimoto:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             blahut_arimoto(bsc(0.1), tol=0.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            blahut_arimoto(bsc(0.1), tol=math.nan)
         with pytest.raises(ValueError, match="max_iter"):
             blahut_arimoto(bsc(0.1), max_iter=0)

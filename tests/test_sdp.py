@@ -62,21 +62,21 @@ class TestBuildGram:
     def test_unit_diagonal(self):
         for seed in range(3):
             g = build_gram(random_channel(5, 6, seed))
-            np.testing.assert_array_equal(np.diag(g.a), 1.0)
+            np.testing.assert_array_equal(np.diag(g), 1.0)
 
     def test_disjoint_support_rows(self):
         ch = DmcChannel.from_probs(np.eye(3))
         g = build_gram(ch)
-        assert g.a[0, 1] == 0.0
+        assert g[0, 1] == 0.0
 
     def test_bsc_off_diagonal(self):
         g = build_gram(bsc(0.1))
-        assert g.a[0, 1] == pytest.approx(0.6, abs=1e-15)
+        assert g[0, 1] == pytest.approx(0.6, abs=1e-15)
 
     def test_positive_semidefinite(self):
         for seed in range(5):
             g = build_gram(random_channel(7, 5, seed))
-            w = np.linalg.eigvalsh(g.a)
+            w = np.linalg.eigvalsh(g)
             assert w.min() >= -1e-10
 
 
@@ -105,7 +105,7 @@ class TestEmbed:
         b_vec[rng.choice(m, size=k, replace=False)] = 1.0
         s_vec = np.concatenate((b_vec, [1.0]))
         b_mat = embed(g)
-        direct = float(b_vec @ g.a @ b_vec)
+        direct = float(b_vec @ g @ b_vec)
         lifted = float(s_vec @ b_mat @ s_vec)
         assert lifted == pytest.approx(direct, rel=1e-12)
         big_s = np.outer(s_vec, s_vec)
@@ -121,7 +121,7 @@ class TestSolveSdp:
         b_mat = embed(g)
         sol = solve_sdp(b_mat, k=5, tol=1e-9, max_iter=20_000)
         assert sol.converged
-        want = float(g.a.sum())
+        want = float(g.sum())
         assert sol.objective == pytest.approx(want, abs=1e-5)
         mask, _ = round_solution(psd_factorize(sol), 5, b_mat, RoundingConfig(n_rand=5, rng_seed=0))
         assert mask.k == 5
@@ -139,7 +139,7 @@ class TestSolveSdp:
             g = build_gram(ch)
             sol = solve_sdp(embed(g), k=4, tol=1e-8, max_iter=20_000)
             assert sol.converged
-            assert sol.objective <= boolean_minimum(g.a, 4) + 1e-5
+            assert sol.objective <= boolean_minimum(g, 4) + 1e-5
 
     # Desk instances 21 and 33 have degenerate spectra that once broke a
     # sliced LAPACK eigensolver.
@@ -152,7 +152,7 @@ class TestSolveSdp:
         g = build_gram(small_mimo_channel(seed=seed))
         sol = solve_sdp(embed(g), k=4, tol=tol, max_iter=20_000)
         assert sol.converged
-        assert sol.objective <= boolean_minimum(g.a, 4) + 1e-5
+        assert sol.objective <= boolean_minimum(g, 4) + 1e-5
         s = sol.s_hat
         n = s.shape[0]
         assert np.linalg.eigvalsh(s).min() >= -1e-7
@@ -205,6 +205,8 @@ class TestSolveSdp:
             solve_sdp(g, k=5)
         with pytest.raises(ValueError):
             solve_sdp(g, k=2, tol=0.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_sdp(g, k=2, tol=float("nan"))
         with pytest.raises(ValueError, match="max_iter"):
             solve_sdp(g, k=2, max_iter=0)
 
