@@ -48,7 +48,6 @@ from .sdp import (
     SdpSelectResult,
     SdpSolution,
     build_gram,
-    embed,
     psd_factorize,
     round_solution,
     sdp_select,
@@ -91,7 +90,6 @@ __all__ = [
     "compute_llrs_block",
     "cutoff_rate",
     "demap_bits",
-    "embed",
     "enumerate_qpsk_inputs",
     "evaluate_mask",
     "example_h4x4",

@@ -25,7 +25,6 @@ from .channel import (
 )
 from .link import average_ber_records, run_coded_ber
 from .mimo import ComplexChannelMatrix, SnrPoint, build_quantized_mimo, example_h4x4, load_h_matrix
-from .mimo import DEFAULT_ALPHABET_CAP
 from .rates import blahut_arimoto, check_stopping_rule, uniform_subset_rate
 from .sdp import RoundingConfig, sdp_select
 from .subset_search import CRITERIA, BsaConfig, bsa_select, evaluate_mask, exhaustive_select
@@ -94,7 +93,7 @@ def cmd_build_mimo(args: argparse.Namespace) -> int:
     h = _load_h(args.h_matrix)
     snrs = _parse_snr_db(args.snr_db)
     for snr_db in snrs:
-        ch = build_quantized_mimo(h, SnrPoint.from_db(snr_db), max_alphabet=args.max_alphabet)
+        ch = build_quantized_mimo(h, SnrPoint.from_db(snr_db))
         if args.out:
             path = args.out if len(snrs) == 1 else _indexed_path(args.out, snr_db)
             save_channel(ch, path)
@@ -144,10 +143,7 @@ def cmd_select(args: argparse.Namespace) -> int:
             "converged": res.solution.converged,
         }
     elif args.select_cmd == "bsa":
-        cfg = BsaConfig(
-            k=args.k, restarts=args.restarts, rng_seed=args.seed, max_passes=args.max_passes
-        )
-        res = bsa_select(ch, cfg)
+        res = bsa_select(ch, BsaConfig(k=args.k, restarts=args.restarts, rng_seed=args.seed))
         doc = {
             "mask": res.mask.indices.tolist(),
             "k": args.k,
@@ -214,6 +210,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown method {method!r}")
     if not ks or not methods:
         raise ValueError("need at least one k and one method")
+    for flag, values in (("--k", ks), ("--methods", methods)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{flag} values must be distinct, got {values}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     m = 4**h.n_tx
     for k in ks:
         if not (2 <= k <= m):
@@ -315,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument("--h-matrix", required=True, help="H JSON file or 'bundled'")
     p_build.add_argument("--snr-db", required=True, help="comma-separated dB values")
-    p_build.add_argument("--max-alphabet", type=int, default=DEFAULT_ALPHABET_CAP)
     p_build.add_argument("--out", help="output channel JSON path")
     p_build.set_defaults(func=cmd_build_mimo)
 
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bsa.add_argument("--k", type=int, required=True)
     p_bsa.add_argument("--restarts", type=int, default=20)
     p_bsa.add_argument("--seed", type=int, default=0)
-    p_bsa.add_argument("--max-passes", type=int, default=1000)
     p_bsa.add_argument("--out")
     p_bsa.set_defaults(func=cmd_select)
 

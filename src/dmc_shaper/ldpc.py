@@ -1,7 +1,7 @@
 """Random sparse parity-check codes with systematic encoding and
 sum-product decoding.
 
-Construction fills columns one at a time with a fixed column weight, biased
+Construction fills columns one at a time with column weight 3, biased
 toward the currently lightest check rows and rejecting (up to a retry limit)
 placements that would close a length-4 cycle. ``LdpcCode(h)`` derives the
 systematic generator by GF(2) elimination with column pivoting; rank-deficient
@@ -17,6 +17,7 @@ import numpy as np
 LLR_CLIP = 40.0
 # tanh(LLR_CLIP / 2) rounds to 1.0; clip inside the open interval instead.
 _TANH_LIMIT = 1.0 - 1e-15
+_COL_WEIGHT = 3  # checks per code bit in ``build_ldpc``
 
 
 @dataclass(eq=False)
@@ -107,9 +108,7 @@ class RankDeficientError(ValueError):
     pass
 
 
-def _fill_parity_matrix(
-    n: int, m: int, col_weight: int, rng: np.random.Generator
-) -> np.ndarray:
+def _fill_parity_matrix(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     h = np.zeros((m, n), dtype=np.uint8)
     row_weights = np.zeros(m, dtype=np.int64)
     used_pairs: set[tuple[int, int]] = set()
@@ -121,13 +120,13 @@ def _fill_parity_matrix(
             # collisions near the end of the fill can still be avoided.
             limit = row_weights.min() + 1 + attempt // 20
             pool = np.flatnonzero(row_weights <= limit)
-            if pool.size < col_weight:
+            if pool.size < _COL_WEIGHT:
                 continue
-            rows = np.sort(rng.choice(pool, size=col_weight, replace=False))
+            rows = np.sort(rng.choice(pool, size=_COL_WEIGHT, replace=False))
             pairs = [
                 (int(rows[i]), int(rows[j]))
-                for i in range(col_weight)
-                for j in range(i + 1, col_weight)
+                for i in range(_COL_WEIGHT)
+                for j in range(i + 1, _COL_WEIGHT)
             ]
             if all(p not in used_pairs for p in pairs):
                 placed = rows
@@ -172,14 +171,12 @@ def _systematic_generator(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gen, msg
 
 
-def build_ldpc(n: int, rate: float, col_weight: int = 3, seed: int = 0) -> LdpcCode:
-    """Random regular-column-weight code of length n at (nearly) the given rate."""
+def build_ldpc(n: int, rate: float, seed: int = 0) -> LdpcCode:
+    """Random column-weight-3 code of length n at (nearly) the given rate."""
     if not (0.0 < rate < 1.0):
         raise ValueError("rate must lie strictly between 0 and 1")
-    if col_weight < 2:
-        raise ValueError("column weight must be at least 2")
     m = int(round(n * (1.0 - rate)))
-    if m < col_weight or m >= n:
+    if m < _COL_WEIGHT or m >= n:
         raise ValueError(f"{m} checks for length {n} is not constructible")
     achieved = (n - m) / n
     if abs(achieved - rate) > 1.0 / n:
@@ -187,7 +184,7 @@ def build_ldpc(n: int, rate: float, col_weight: int = 3, seed: int = 0) -> LdpcC
     last_error: Exception | None = None
     for attempt in range(10):
         rng = np.random.default_rng([seed, attempt])
-        h = _fill_parity_matrix(n, m, col_weight, rng)
+        h = _fill_parity_matrix(n, m, rng)
         if int(h.sum(axis=1).min()) < 2:
             last_error = ValueError("a check row ended up with weight < 2")
             continue

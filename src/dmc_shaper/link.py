@@ -172,14 +172,15 @@ def run_coded_ber(
     Per frame: encode a random message, map code bits onto selected inputs,
     draw the quantized outputs, look up their LLRs, and decode. LLRs depend
     only on the point and the received output, so each point computes one
-    table over all outputs with ``compute_llrs_block``; log-sum-exp works row
-    by row, so its entries equal the per-frame values bitwise. Frames are
-    decoded together by ``bp_decode_batch``, in batches no larger than the
-    frame errors still missing: a frame adds at most one, so a batch never
-    runs past the stopping rule (``min_frame_errors`` or ``max_frames``) and
-    the records equal those of a frame-by-frame loop. Frame RNG streams
-    derive from (seed, frame index), message first and then noise, so the
-    same noise is reused across SNR points, which must be distinct.
+    table over all outputs with ``compute_llrs_block``, shared by every seed;
+    log-sum-exp works row by row, so its entries equal the per-frame values
+    bitwise. Frames are decoded together by ``bp_decode_batch``, in batches
+    no larger than the frame errors still missing: a frame adds at most one,
+    so a batch never runs past the stopping rule (``min_frame_errors`` or
+    ``max_frames``) and the records equal those of a frame-by-frame loop.
+    Frame RNG streams derive from (seed, frame index), message first and
+    then noise, so the same noise is reused across SNR points, which must be
+    distinct.
     """
     seeds = tuple(seeds)
     if not seeds or min_frame_errors < 1 or max_frames < 1:
@@ -199,13 +200,16 @@ def run_coded_ber(
     if mask.m != table.shape[0]:
         raise ValueError("mask length does not match the QPSK input alphabet")
 
+    llr_tables = []
+    for snr in points:
+        ch = build_quantized_mimo(h, snr)
+        llr_tables.append(compute_llrs_block(ch, lab, np.arange(ch.num_outputs)))
+
     records: list[BerRecord] = []
     for seed in seeds:
-        code = build_ldpc(n, code_rate, col_weight=3, seed=seed)
+        code = build_ldpc(n, code_rate, seed=seed)
         k_msg = code.message_length
-        for snr in points:
-            ch = build_quantized_mimo(h, snr)
-            llr_table = compute_llrs_block(ch, lab, np.arange(ch.num_outputs))
+        for snr, llr_table in zip(points, llr_tables):
             bit_errors = 0
             frame_errors = 0
             frames = 0

@@ -26,10 +26,9 @@ from .channel import DmcChannel, _freeze
 # significant: 0 -> +1+1j, 1 -> +1-1j, 2 -> -1+1j, 3 -> -1-1j (pre-scaling).
 QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128)
 
-DEFAULT_ALPHABET_CAP = 1 << 16
 # Largest float64 M x L transition matrix plus (L, 2N) sign table a build may
-# ask for (1 GiB); it holds a few arrays of each size at once. The per-alphabet
-# cap alone would admit a T=N=8 build of 34 GB per matrix.
+# ask for (1 GiB); it holds a few arrays of each size at once. This is the one
+# memory guard: a T=N=8 build would need 34 GB per matrix.
 _MAX_MATRIX_BYTES = 1 << 30
 
 
@@ -145,23 +144,17 @@ def _signed_components(h: ComplexChannelMatrix, xs: np.ndarray) -> np.ndarray:
     return comp
 
 
-def build_quantized_mimo(
-    h: ComplexChannelMatrix,
-    snr: SnrPoint,
-    max_alphabet: int = DEFAULT_ALPHABET_CAP,
-) -> DmcChannel:
+def build_quantized_mimo(h: ComplexChannelMatrix, snr: SnrPoint) -> DmcChannel:
     """Exact transition matrix of the one-bit quantized QPSK MIMO channel.
 
     P(y|x) is the product over receiver components of Phi(sqrt(2*snr) * s * g)
     with s the component's sign under y and g the noiseless component of H x.
-    Computed in the log domain so high-SNR rows stay normalized.
+    Computed in the log domain so high-SNR rows stay normalized. Refused
+    before any allocation when the matrix and its sign table would exceed
+    ``_MAX_MATRIX_BYTES``.
     """
     t, n = h.n_tx, h.n_rx
     m, l = 4**t, 4**n
-    if m > max_alphabet or l > max_alphabet:
-        raise ValueError(
-            f"alphabet sizes {m}x{l} exceed the configured cap {max_alphabet}"
-        )
     if (m + 2 * n) * l * 8 > _MAX_MATRIX_BYTES:
         raise ValueError(
             f"a {m}x{l} transition matrix and its {l}x{2 * n} sign table need "
@@ -187,16 +180,14 @@ def sample_receive_many(
     h: ComplexChannelMatrix,
     xs: np.ndarray,
     snr: SnrPoint,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Quantized output indices for a batch of input vectors (rows of xs).
 
     Noise is circular complex Gaussian with variance 1/2 per real dimension
-    (unit noise power), and the signal is scaled by sqrt(snr). Components
-    exactly at zero quantize to +1.
+    (unit noise power), drawn from ``rng``, and the signal is scaled by
+    sqrt(snr). Components exactly at zero quantize to +1.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     xs = np.atleast_2d(np.asarray(xs, dtype=np.complex128))
     comp = _signed_components(h, xs)
     noise = rng.standard_normal(comp.shape) * np.sqrt(0.5)

@@ -63,11 +63,6 @@ def build_gram(ch: DmcChannel) -> np.ndarray:
     return a
 
 
-def embed(a: np.ndarray) -> np.ndarray:
-    """Zero-bordered (M+1) x (M+1) embedding of an M x M Gram matrix."""
-    return np.pad(a, (0, 1))
-
-
 # Orbit coordinates pay off from this M on: on a 2-core x86 box, 300
 # iterations on Z4-invariant Gram matrices took 0.14/0.18/0.23/0.32 ms per
 # iteration plain and 0.23/0.21/0.21/0.25 orbit-wise at M = 16/24/28/32.
@@ -76,19 +71,19 @@ _REDUCE_MIN_M = 32
 _INVARIANCE_TOL = 1e-12
 
 
-def _input_orbits(b_mat: np.ndarray) -> np.ndarray:
+def _input_orbits(a: np.ndarray) -> np.ndarray:
     """(g, r) array whose row o lists the inputs (o, 0), ..., (o, r-1).
 
     Input (o, a) is the a-th rotation x -> j^a x of the orbit's first input.
     The rotation is used (r = 4) when M = 4^T reaches ``_REDUCE_MIN_M`` and
-    the embedded matrix is invariant under it; otherwise r = 1.
+    the M x M Gram matrix is invariant under it; otherwise r = 1.
     """
-    m = b_mat.shape[0] - 1
+    m = a.shape[0]
     t = round(math.log(m, 4))
     if m < _REDUCE_MIN_M or 4**t != m:
         return np.arange(m)[:, None]
-    perm = np.append(qpsk_rotation(t), m)
-    if np.abs(b_mat[np.ix_(perm, perm)] - b_mat).max() > _INVARIANCE_TOL:
+    perm = qpsk_rotation(t)
+    if np.abs(a[np.ix_(perm, perm)] - a).max() > _INVARIANCE_TOL:
         return np.arange(m)[:, None]
     powers = [np.arange(m)]
     for _ in range(3):
@@ -203,8 +198,11 @@ def _constraint_violation(x: np.ndarray, k: int) -> float:
     return max(diag_vs_border, corner, border_sum)
 
 
-def solve_sdp(b_mat: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) -> SdpSolution:
+def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) -> SdpSolution:
     """Minimize tr(B S) over PSD S meeting the subset-lift affine constraints.
+
+    B is the M x M Gram matrix ``a`` (from ``build_gram``) bordered by a zero
+    row and column for the slack entry, so S and B are (M+1) x (M+1).
 
     ADMM with over-relaxation: alternate the closed-form affine projection
     and the eigenvalue-clipping PSD projection, carrying a scaled dual. The
@@ -212,21 +210,21 @@ def solve_sdp(b_mat: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000
     the max affine violation of the PSD iterate (plus the splitting gap) and
     the dual step fall below ``tol``.
 
-    When B is invariant under the QPSK input rotation (see ``_input_orbits``)
+    When A is invariant under the QPSK input rotation (see ``_input_orbits``)
     every iterate is too, so the loop stores one value per orbit of entries
     and projects three Fourier blocks of size about M/4; the iterates and
     residuals equal the plain loop's up to rounding.
     """
     check_stopping_rule(tol, max_iter)
-    b_mat = np.asarray(b_mat, dtype=np.float64)
-    n = b_mat.shape[0]
-    m = n - 1
-    if b_mat.shape != (n, n) or m < 2:
-        raise ValueError("embedded matrix must be (M+1) x (M+1) with M >= 2")
+    a = np.asarray(a, dtype=np.float64)
+    m = a.shape[0]
+    if a.shape != (m, m) or m < 2:
+        raise ValueError("Gram matrix must be M x M with M >= 2")
     if not (2 <= k <= m):
         raise ValueError(f"k must be in [2, {m}], got {k}")
 
-    orbits = _input_orbits(b_mat)
+    b_mat = np.pad(a, (0, 1))
+    orbits = _input_orbits(a)
     g, r = orbits.shape
     b_red = _reduce(b_mat, orbits)
 
@@ -305,21 +303,24 @@ def _quantize_top_k(s_vec: np.ndarray, k: int) -> np.ndarray:
 def round_solution(
     v: np.ndarray,
     k: int,
-    b_mat: np.ndarray,
+    a: np.ndarray,
     cfg: RoundingConfig,
 ) -> tuple[SubsetMask, float]:
     """Recover a k-subset from ``psd_factorize``'s factor V of the relaxed solution.
 
-    The candidates are s = V^T u for ``cfg.n_rand`` unit-sphere draws u (one
-    stream per draw index), then V's last row: ``psd_factorize`` orders rows
-    by ascending eigenvalue, so that is the dominant eigenvector scaled by
+    V has M + 1 columns and ``a`` is the M x M Gram matrix. The candidates
+    are s = V^T u for ``cfg.n_rand`` unit-sphere draws u (one stream per
+    draw index), then V's last row: ``psd_factorize`` orders rows by
+    ascending eigenvalue, so that is the dominant eigenvector scaled by
     sqrt(lambda_max). Each is quantized and scored by b^T A b as it is
     drawn; the first strict minimum wins.
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[1]
     m = n - 1
-    a = np.asarray(b_mat, dtype=np.float64)[:m, :m]
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != (m, m):
+        raise ValueError(f"Gram matrix must be {m} x {m} for {n} factor columns, got {a.shape}")
 
     best_idx: np.ndarray | None = None
     best_obj = math.inf
@@ -369,13 +370,13 @@ def sdp_select(
     cfg: RoundingConfig | None = None,
     max_iter: int = 5000,
 ) -> SdpSelectResult:
-    """Gram build, lift, relaxed solve, factorization, and rounding in one call."""
+    """Gram build, relaxed solve, factorization, and rounding in one call."""
     if cfg is None:
         cfg = RoundingConfig()
-    b_mat = embed(build_gram(ch))
-    sol = solve_sdp(b_mat, k, tol=tol, max_iter=max_iter)
+    a = build_gram(ch)
+    sol = solve_sdp(a, k, tol=tol, max_iter=max_iter)
     v = psd_factorize(sol)
-    mask, rounded_obj = round_solution(v, k, b_mat, cfg)
+    mask, rounded_obj = round_solution(v, k, a, cfg)
     return SdpSelectResult(
         mask=mask,
         cutoff_rate_bits=cutoff_rate(ch, mask),

@@ -20,6 +20,7 @@ from .channel import DmcChannel, SubsetMask
 from .rates import cutoff_rate, ser_ml, uniform_subset_rate
 
 EXHAUSTIVE_GUARD = 10**7
+_MAX_PASSES = 1000  # switching passes per restart before the search is cut
 
 # Criterion name -> batched evaluator. SER is minimized, the two rates maximized.
 _SCORERS = {"rate": rates.batch_rate, "ser": rates.batch_ser, "cutoff": rates.batch_cutoff_rate}
@@ -31,7 +32,6 @@ class BsaConfig:
     k: int
     restarts: int = 20
     rng_seed: int = 0
-    max_passes: int = 1000
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -40,8 +40,6 @@ class BsaConfig:
             raise ValueError("restarts must be at least 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -72,10 +70,9 @@ def check_exhaustive_size(m: int, k: int) -> None:
         )
 
 
-def _local_search(
-    ch: DmcChannel, sel: np.ndarray, max_passes: int
-) -> tuple[np.ndarray, float, bool]:
-    """Run switching passes from the given subset until no swap improves."""
+def _local_search(ch: DmcChannel, sel: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Run switching passes from the given subset until no swap improves, or
+    ``_MAX_PASSES`` passes have run (reported as truncated)."""
     trans = ch.trans
     m = trans.shape[0]
     k = sel.shape[0]
@@ -108,7 +105,7 @@ def _local_search(
         if not improved:
             return sel, cur, False
         passes += 1
-        if passes >= max_passes:
+        if passes >= _MAX_PASSES:
             return sel, cur, True
 
 
@@ -130,7 +127,7 @@ def bsa_select(ch: DmcChannel, cfg: BsaConfig) -> BsaResult:
         rng = np.random.default_rng([cfg.rng_seed, restart])
         sel = np.sort(rng.choice(m, size=cfg.k, replace=False))
         initial.append(float(rates.batch_ser(ch, sel)))
-        sel, ser, trunc = _local_search(ch, sel, cfg.max_passes)
+        sel, ser, trunc = _local_search(ch, sel)
         final.append(ser)
         truncated = truncated or trunc
         if ser < best_ser:

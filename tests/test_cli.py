@@ -96,13 +96,16 @@ class TestBuildMimo:
         assert code == 0
         assert json.loads(out.read_text())["M"] == 256
 
-    def test_cap_guard_errors(self, capsys, h_file):
-        code, _, err = run_cli(
-            capsys, "channel", "build-mimo", "--h-matrix", h_file,
-            "--snr-db", "0", "--max-alphabet", "4",
+    def test_cap_guard_errors(self, capsys, tmp_path):
+        # An 8 x 8 H needs a 34 GB transition matrix, over the byte budget.
+        path = tmp_path / "h8.json"
+        path.write_text(json.dumps({"re": np.eye(8).tolist(), "im": np.zeros((8, 8)).tolist()}))
+        code, out, err = run_cli(
+            capsys, "channel", "build-mimo", "--h-matrix", str(path), "--snr-db", "0"
         )
         assert code == 1
-        assert "cap" in err
+        assert out == ""
+        assert "byte budget" in err
 
     def test_stdout_without_out(self, capsys, h_file):
         code, out, _ = run_cli(
@@ -141,7 +144,7 @@ class TestBuildMimo:
         )
         assert code == 0
         made = sorted(p.name for p in tmp_path.glob("ch_snr*.json"))
-        assert made == ["ch_snrm2p5.json", "ch_snr10p0.json"] or len(made) == 2
+        assert made == ["ch_snr10p0.json", "ch_snrm2p5.json"]
 
 
 class TestCapacity:
@@ -297,11 +300,14 @@ class TestSweep:
             (None, "4", "sdp", "tol must be positive", ("--sdp-tol", "nan")),
             (None, "4", "full", "tol must be positive", ("--ba-tol", "nan")),
             (None, "4", "full", "max_iter must be at least 1", ("--ba-max-iter", "0")),
+            (None, "4", "full", "--seed must be non-negative", ("--seed=-1",)),
+            (None, "4,4", "full", "--k values must be distinct", ()),
+            (None, "4", "full,full", "--methods values must be distinct", ()),
         ],
         ids=[
             "bsa-k-equals-m", "exhaustive-over-guard", "nrand-0", "restarts-0",
             "sdp-tol-0", "sdp-max-iter-0", "ba-tol-0", "sdp-tol-nan", "ba-tol-nan",
-            "ba-max-iter-0",
+            "ba-max-iter-0", "seed-negative", "k-repeated", "methods-repeated",
         ],
     )
     def test_bad_configuration_rejected_before_any_point(
@@ -317,6 +323,7 @@ class TestSweep:
         )
         assert code == 1
         assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
         assert message in err
 
 

@@ -29,6 +29,7 @@ from dmc_shaper import (
     per_symbol_misdetect,
     run_coded_ber,
     sample_receive_many,
+    link,
     ser_ml,
 )
 
@@ -271,6 +272,25 @@ class TestRunCodedBer:
         assert rec.ber == rec.bit_errors / rec.bits_sent
         assert rec.frame_errors >= 3 or rec.frames == 50
 
+    def test_one_llr_table_per_point(self, monkeypatch):
+        # The table depends on the point alone, so seeds share it.
+        calls = []
+
+        def counted(ch, lab, y):
+            calls.append(len(y))
+            return compute_llrs_block(ch, lab, y)
+
+        monkeypatch.setattr(link, "compute_llrs_block", counted)
+        mask = SubsetMask.from_indices(16, [2, 6, 9, 13])
+        records = run_coded_ber(
+            random_h(2, 2, seed=86), mask, [0.0, 10.0], n=24, total_rate=1.0,
+            seeds=(1, 2, 3), max_frames=2,
+        )
+        assert calls == [16, 16]
+        assert [(r.seed, r.snr_db) for r in records] == [
+            (seed, snr) for seed in (1, 2, 3) for snr in (0.0, 10.0)
+        ]
+
     @staticmethod
     def _frame_by_frame(h, mask, snr_db_list, n, total_rate, seeds, min_frame_errors, max_frames):
         """Reference: one frame at a time, LLRs computed per frame."""
@@ -278,7 +298,7 @@ class TestRunCodedBer:
         table = enumerate_qpsk_inputs(h.n_tx)
         records = []
         for seed in seeds:
-            code = build_ldpc(n, total_rate / lab.bits_per_symbol, col_weight=3, seed=seed)
+            code = build_ldpc(n, total_rate / lab.bits_per_symbol, seed=seed)
             for snr_db in snr_db_list:
                 snr = SnrPoint.from_db(snr_db)
                 ch = build_quantized_mimo(h, snr)

@@ -22,7 +22,6 @@ from dmc_shaper import (
     build_gram,
     build_quantized_mimo,
     cutoff_rate,
-    embed,
     exhaustive_select,
     psd_factorize,
     round_solution,
@@ -30,7 +29,7 @@ from dmc_shaper import (
     solve_sdp,
 )
 from dmc_shaper.mimo import qpsk_rotation
-from dmc_shaper.sdp import SdpSolution, _input_orbits
+from dmc_shaper.sdp import SdpSolution, _input_orbits, _quantize_top_k
 
 
 def bsc(p):
@@ -81,16 +80,11 @@ class TestBuildGram:
 
 
 class TestEmbed:
-    def test_identity_block(self):
-        g = build_gram(DmcChannel.from_probs(np.eye(2)))
-        b = embed(g)
-        assert b.shape == (3, 3)
-        np.testing.assert_array_equal(np.diag(b), [1.0, 1.0, 0.0])
-        assert b[0, 2] == b[2, 0] == 0.0
+    """The zero-bordered lift that ``solve_sdp`` builds from the Gram matrix."""
 
     def test_trace_preserved(self):
         g = build_gram(random_channel(6, 4, seed=1))
-        assert np.trace(embed(g)) == pytest.approx(6.0)
+        assert np.trace(g) == pytest.approx(6.0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -104,7 +98,7 @@ class TestEmbed:
         b_vec = np.zeros(m)
         b_vec[rng.choice(m, size=k, replace=False)] = 1.0
         s_vec = np.concatenate((b_vec, [1.0]))
-        b_mat = embed(g)
+        b_mat = np.pad(g, (0, 1))
         direct = float(b_vec @ g @ b_vec)
         lifted = float(s_vec @ b_mat @ s_vec)
         assert lifted == pytest.approx(direct, rel=1e-12)
@@ -118,18 +112,17 @@ class TestSolveSdp:
     def test_full_set_forced(self):
         # k = M leaves the all-ones lift as the only feasible point.
         g = build_gram(random_channel(5, 4, seed=2))
-        b_mat = embed(g)
-        sol = solve_sdp(b_mat, k=5, tol=1e-9, max_iter=20_000)
+        sol = solve_sdp(g, k=5, tol=1e-9, max_iter=20_000)
         assert sol.converged
         want = float(g.sum())
         assert sol.objective == pytest.approx(want, abs=1e-5)
-        mask, _ = round_solution(psd_factorize(sol), 5, b_mat, RoundingConfig(n_rand=5, rng_seed=0))
+        mask, _ = round_solution(psd_factorize(sol), 5, g, RoundingConfig(n_rand=5, rng_seed=0))
         assert mask.k == 5
 
     def test_orthogonal_rows_objective_forced_to_k(self):
         # With A = I the affine constraints force tr(B S) = k exactly.
         g = build_gram(DmcChannel.from_probs(np.eye(6)))
-        sol = solve_sdp(embed(g), k=3, tol=1e-9, max_iter=20_000)
+        sol = solve_sdp(g, k=3, tol=1e-9, max_iter=20_000)
         assert sol.converged
         assert sol.objective == pytest.approx(3.0, abs=1e-6)
 
@@ -137,7 +130,7 @@ class TestSolveSdp:
         for seed in range(5):
             ch = small_mimo_channel(seed=seed + 300)
             g = build_gram(ch)
-            sol = solve_sdp(embed(g), k=4, tol=1e-8, max_iter=20_000)
+            sol = solve_sdp(g, k=4, tol=1e-8, max_iter=20_000)
             assert sol.converged
             assert sol.objective <= boolean_minimum(g, 4) + 1e-5
 
@@ -150,7 +143,7 @@ class TestSolveSdp:
     )
     def test_solution_invariants_at_convergence(self, seed, tol):
         g = build_gram(small_mimo_channel(seed=seed))
-        sol = solve_sdp(embed(g), k=4, tol=tol, max_iter=20_000)
+        sol = solve_sdp(g, k=4, tol=tol, max_iter=20_000)
         assert sol.converged
         assert sol.objective <= boolean_minimum(g, 4) + 1e-5
         s = sol.s_hat
@@ -164,38 +157,39 @@ class TestSolveSdp:
         rng = np.random.default_rng(64)
         gains = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) * np.sqrt(0.5)
         ch = build_quantized_mimo(ComplexChannelMatrix(gains), SnrPoint.from_db(5.0))
-        b = embed(build_gram(ch))
+        a = build_gram(ch)
         m = ch.num_inputs
         # A random relabelling of the inputs hides the rotation.
-        relabel = np.append(rng.permutation(m), m)
-        b_relabelled = b[np.ix_(relabel, relabel)]
-        assert _input_orbits(b).shape == (m // 4, 4)
-        assert _input_orbits(b_relabelled).shape == (m, 1)
+        relabel = rng.permutation(m)
+        a_relabelled = a[np.ix_(relabel, relabel)]
+        assert _input_orbits(a).shape == (m // 4, 4)
+        assert _input_orbits(a_relabelled).shape == (m, 1)
 
-        reduced = solve_sdp(b, k=4, tol=1e-6, max_iter=20_000)
-        plain = solve_sdp(b_relabelled, k=4, tol=1e-6, max_iter=20_000)
+        reduced = solve_sdp(a, k=4, tol=1e-6, max_iter=20_000)
+        plain = solve_sdp(a_relabelled, k=4, tol=1e-6, max_iter=20_000)
         assert reduced.converged and plain.converged
         assert reduced.iterations == plain.iterations
         assert reduced.objective == pytest.approx(plain.objective, abs=1e-8)
-        undo = np.empty_like(relabel)
-        undo[relabel] = np.arange(m + 1)
+        # s_hat carries the slack index M, which the relabelling keeps.
+        undo = np.empty(m + 1, dtype=np.intp)
+        undo[np.append(relabel, m)] = np.arange(m + 1)
         assert np.abs(plain.s_hat[np.ix_(undo, undo)] - reduced.s_hat).max() <= 1e-6
         rot = np.append(qpsk_rotation(3), m)
         np.testing.assert_array_equal(reduced.s_hat[np.ix_(rot, rot)], reduced.s_hat)
 
     def test_generic_channel_not_reduced(self):
-        b = embed(build_gram(random_channel(64, 64, seed=3)))
-        assert _input_orbits(b).shape == (64, 1)
+        a = build_gram(random_channel(64, 64, seed=3))
+        assert _input_orbits(a).shape == (64, 1)
 
     def test_nonconvergence_flag(self):
         ch = small_mimo_channel(seed=350)
-        sol = solve_sdp(embed(build_gram(ch)), k=4, tol=1e-12, max_iter=5)
+        sol = solve_sdp(build_gram(ch), k=4, tol=1e-12, max_iter=5)
         assert not sol.converged
         assert sol.iterations == 5
         assert sol.primal_residual > 0.0
 
     def test_bad_inputs(self):
-        g = embed(build_gram(random_channel(4, 4, seed=0)))
+        g = build_gram(random_channel(4, 4, seed=0))
         with pytest.raises(ValueError):
             solve_sdp(g, k=0)
         with pytest.raises(ValueError):
@@ -256,19 +250,27 @@ class TestRoundSolution:
         s_vec = np.array([0.9, -0.2, 0.5, 0.1, 1.0])
         s = np.outer(s_vec, s_vec)
         v = psd_factorize(SdpSolution(s, 0.0, 0.0, 0.0, 1, True))
-        b_mat = np.zeros((5, 5))
-        b_mat[:4, :4] = np.eye(4)
-        mask, _ = round_solution(v, 2, b_mat, RoundingConfig(n_rand=20, rng_seed=0))
+        mask, _ = round_solution(v, 2, np.eye(4), RoundingConfig(n_rand=20, rng_seed=0))
         np.testing.assert_array_equal(mask.bits, [True, False, True, False])
 
     def test_single_draw_rank_one(self):
         s_vec = np.array([0.9, -0.2, 0.5, 0.1, 1.0])
         s = np.outer(s_vec, s_vec)
         v = psd_factorize(SdpSolution(s, 0.0, 0.0, 0.0, 1, True))
-        b_mat = np.zeros((5, 5))
-        b_mat[:4, :4] = np.eye(4)
-        mask, _ = round_solution(v, 2, b_mat, RoundingConfig(n_rand=1, rng_seed=0))
+        mask, _ = round_solution(v, 2, np.eye(4), RoundingConfig(n_rand=1, rng_seed=0))
         np.testing.assert_array_equal(mask.bits, [True, False, True, False])
+
+    def test_gram_must_match_factor(self):
+        v = psd_factorize(SdpSolution(np.eye(5), 0.0, 0.0, 0.0, 1, True))
+        with pytest.raises(ValueError, match="4 x 4"):
+            round_solution(v, 2, np.eye(5), RoundingConfig(n_rand=1))
+
+    def test_quantize_ties_and_sign(self):
+        # Equal entries go to the smallest indices; a negative slack entry
+        # negates the candidate before its top k are taken.
+        np.testing.assert_array_equal(_quantize_top_k(np.ones(7), 3), [0, 1, 2])
+        s_vec = np.array([0.9, -0.2, 0.5, 0.1, -1.0])
+        np.testing.assert_array_equal(_quantize_top_k(s_vec, 2), [1, 3])
 
     def test_dominant_eigenvector_candidate_wins(self):
         # Desk instance 16 of the acceptance suite (T=N=2, 10 dB, K=4): the
@@ -277,9 +279,8 @@ class TestRoundSolution:
         rng = np.random.default_rng([9000, 16])
         gains = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * np.sqrt(0.5)
         ch = build_quantized_mimo(ComplexChannelMatrix(gains), SnrPoint.from_db(10.0))
-        b_mat = embed(build_gram(ch))
-        v = psd_factorize(solve_sdp(b_mat, k=4, tol=1e-8, max_iter=20_000))
-        a = b_mat[:16, :16]
+        a = build_gram(ch)
+        v = psd_factorize(solve_sdp(a, k=4, tol=1e-8, max_iter=20_000))
         cfg = RoundingConfig(n_rand=100, rng_seed=16)
 
         def top4(s_vec):
@@ -295,37 +296,37 @@ class TestRoundSolution:
         eig_obj = float(a[np.ix_(eig_idx, eig_idx)].sum())
         assert eig_obj < min(draw_objs)
 
-        mask, obj = round_solution(v, 4, b_mat, cfg)
+        mask, obj = round_solution(v, 4, a, cfg)
         np.testing.assert_array_equal(mask.indices, eig_idx)
         np.testing.assert_array_equal(mask.indices, top4(v[-1]))
         assert obj == min(draw_objs + [eig_obj])
 
     def test_every_mask_has_k_ones(self):
         ch = small_mimo_channel(seed=400)
-        b_mat = embed(build_gram(ch))
-        sol = solve_sdp(b_mat, k=6, tol=1e-7, max_iter=20_000)
+        g = build_gram(ch)
+        sol = solve_sdp(g, k=6, tol=1e-7, max_iter=20_000)
         v = psd_factorize(sol)
         for seed in range(5):
-            mask, _ = round_solution(v, 6, b_mat, RoundingConfig(n_rand=10, rng_seed=seed))
+            mask, _ = round_solution(v, 6, g, RoundingConfig(n_rand=10, rng_seed=seed))
             assert mask.k == 6
 
     def test_more_draws_never_worse(self):
         ch = small_mimo_channel(seed=405)
-        b_mat = embed(build_gram(ch))
-        sol = solve_sdp(b_mat, k=4, tol=1e-7, max_iter=20_000)
+        g = build_gram(ch)
+        sol = solve_sdp(g, k=4, tol=1e-7, max_iter=20_000)
         v = psd_factorize(sol)
-        _, obj1 = round_solution(v, 4, b_mat, RoundingConfig(n_rand=1, rng_seed=3))
-        _, obj100 = round_solution(v, 4, b_mat, RoundingConfig(n_rand=100, rng_seed=3))
+        _, obj1 = round_solution(v, 4, g, RoundingConfig(n_rand=1, rng_seed=3))
+        _, obj100 = round_solution(v, 4, g, RoundingConfig(n_rand=100, rng_seed=3))
         assert obj100 <= obj1
 
     def test_determinism(self):
         ch = small_mimo_channel(seed=410)
-        b_mat = embed(build_gram(ch))
-        sol = solve_sdp(b_mat, k=4, tol=1e-7, max_iter=20_000)
+        g = build_gram(ch)
+        sol = solve_sdp(g, k=4, tol=1e-7, max_iter=20_000)
         v = psd_factorize(sol)
         cfg = RoundingConfig(n_rand=50, rng_seed=17)
-        a = round_solution(v, 4, b_mat, cfg)
-        b = round_solution(v, 4, b_mat, cfg)
+        a = round_solution(v, 4, g, cfg)
+        b = round_solution(v, 4, g, cfg)
         np.testing.assert_array_equal(a[0].bits, b[0].bits)
         assert a[1] == b[1]
 

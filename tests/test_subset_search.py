@@ -19,6 +19,7 @@ from dmc_shaper import (
     cutoff_rate,
     exhaustive_select,
     ser_ml,
+    subset_search,
     uniform_subset_rate,
 )
 
@@ -162,9 +163,10 @@ class TestBsaSelect:
         np.testing.assert_array_equal(a.mask.indices, b.mask.indices)
         assert a.ser == b.ser
 
-    def test_truncation_flag(self):
+    def test_truncation_flag(self, monkeypatch):
+        monkeypatch.setattr(subset_search, "_MAX_PASSES", 1)
         ch = small_mimo_channel(seed=43)
-        res = bsa_select(ch, BsaConfig(k=4, restarts=3, rng_seed=0, max_passes=1))
+        res = bsa_select(ch, BsaConfig(k=4, restarts=3, rng_seed=0))
         assert res.truncated
 
     def test_k_bounds(self):
