@@ -174,6 +174,9 @@ def _sweep_point(
     full = SubsetMask.full(ch.num_inputs)
     ba = blahut_arimoto(ch, tol=args.ba_tol, max_iter=args.ba_max_iter)
     cells = [_fmt(snr_db), _fmt(ba.capacity_bits), _fmt(uniform_subset_rate(ch, full))]
+    # Solver diagnostics go after every rate column: BA's flag, then each
+    # SDP solve's flag and iteration count.
+    diagnostics = [str(int(ba.converged))]
     for cfg_idx, (k, method) in enumerate(configs):
         seed = _derived_seed(args.seed, snr_idx, cfg_idx)
         if method == "exhaustive":
@@ -183,13 +186,15 @@ def _sweep_point(
             if method == "full":
                 mask = full
             elif method == "sdp":
-                mask = sdp_select(
+                res = sdp_select(
                     ch,
                     k,
                     tol=args.sdp_tol,
                     cfg=RoundingConfig(n_rand=args.nrand, rng_seed=seed),
                     max_iter=args.sdp_max_iter,
-                ).mask
+                )
+                mask = res.mask
+                diagnostics += [str(int(res.solution.converged)), str(res.solution.iterations)]
             else:
                 mask = bsa_select(
                     ch, BsaConfig(k=k, restarts=args.restarts, rng_seed=seed)
@@ -197,7 +202,7 @@ def _sweep_point(
             vals = evaluate_mask(ch, mask)
             triple = (vals["rate"], vals["cutoff"], vals["ser"])
         cells.extend(_fmt(v) for v in triple)
-    return cells
+    return cells + diagnostics
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -237,6 +242,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         header.extend(
             [f"rate_k{k}_{method}", f"cutoff_k{k}_{method}", f"ser_k{k}_{method}"]
         )
+    header.append("ba_converged")
+    for k, method in configs:
+        if method == "sdp":
+            header.extend([f"sdp_converged_k{k}", f"sdp_iters_k{k}"])
 
     rows = [_sweep_point(h, snr, i, configs, args) for i, snr in enumerate(snrs)]
 
@@ -247,6 +256,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_coded_ber(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     h = _load_h(args.h_matrix)
     m = 4**h.n_tx
     mask = _load_mask(args.mask, m)

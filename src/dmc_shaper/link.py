@@ -185,6 +185,8 @@ def run_coded_ber(
     seeds = tuple(seeds)
     if not seeds or min_frame_errors < 1 or max_frames < 1:
         raise ValueError("need a code seed, and min_frame_errors and max_frames of at least 1")
+    if min(seeds) < 0:
+        raise ValueError(f"code seeds must be non-negative, got {list(seeds)}")
     snrs = [float(snr_db) for snr_db in snr_db_list]
     if len(set(snrs)) != len(snrs):
         raise ValueError(f"SNR points must be distinct, got {snrs}")

@@ -23,6 +23,8 @@ from .rates import check_stopping_rule, cutoff_bits, cutoff_rate
 
 _RHO_INIT = 1.0  # ADMM penalty at the start; residual balancing rescales it
 _ALPHA = 1.6  # ADMM over-relaxation
+_AA_MEMORY = 5  # Anderson acceleration: past steps that enter each extrapolation
+_AA_REG = 1e-10  # Tikhonov weight of the small solve, relative to its trace
 
 
 @dataclass(frozen=True)
@@ -198,6 +200,135 @@ def _constraint_violation(x: np.ndarray, k: int) -> float:
     return max(diag_vs_border, corner, border_sum)
 
 
+class _Packing:
+    """The (z, u) pair of orbit coordinates as one vector of its free entries.
+
+    Block 0 (with its border) and block 2 are symmetric and block 3 is the
+    transpose of block 1, so only the upper triangles of blocks 0 and 2 and
+    all of block 1 are kept. Each entry is weighted by the square root of the
+    number of entries it stands for in the full (M+1) x (M+1) matrix, so dot
+    products of packed vectors are Frobenius products of full matrices, and
+    the orbit and the plain loop take the same steps.
+    """
+
+    def __init__(self, g: int, r: int) -> None:
+        n = g + 1
+        # (block, block of the mirror entry, rows, columns) of the free entries
+        parts = [(0, 0, *np.triu_indices(n))]
+        if r == 4:
+            parts += [(2, 2, *np.triu_indices(g)), (1, 3, *np.indices((g, g)).reshape(2, -1))]
+        block = np.concatenate([np.full(i.size, d) for d, _, i, _ in parts])
+        mirror = np.concatenate([np.full(i.size, e) for _, e, i, _ in parts])
+        row = np.concatenate([i for _, _, i, _ in parts])
+        col = np.concatenate([j for _, _, _, j in parts])
+        # An entry and its mirror image each stand for r full entries; the
+        # corner stands for itself alone.
+        mult = np.where((row != col) | (block != mirror), 2.0 * r, 1.0 * r)
+        mult[n * (n + 1) // 2 - 1] = 1.0  # last of block 0's upper triangle
+        p = self.size = row.size
+        # The zero borders of blocks 1-3 read an extra last slot, kept at 0.
+        slot = np.full((r, n, n), 2 * p)
+        slot[block, row, col] = slot[mirror, col, row] = np.arange(p)
+        self._take = np.ravel_multi_index((block, row, col), slot.shape)
+        self._weights = np.tile(np.sqrt(mult), 2)
+        self._unweights = 1.0 / self._weights
+        self._put = np.stack((slot, np.where(slot < 2 * p, slot + p, slot)))
+        self._ext = np.zeros(2 * p + 1)
+        self._zu = np.empty((2, r, n, n))
+
+    def pack(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # The indices are in range; any mode but "raise" lets take write
+        # into ``out`` without buffering a copy.
+        p = self.size
+        out = np.empty(2 * p)
+        np.take(z, self._take, out=out[:p], mode="clip")
+        np.take(u, self._take, out=out[p:], mode="clip")
+        out *= self._weights
+        return out
+
+    def unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(z, u) of a packed vector, written over the previous unpack's."""
+        np.multiply(w, self._unweights, out=self._ext[:-1])
+        np.take(self._ext, self._put, out=self._zu, mode="clip")
+        return self._zu[0], self._zu[1]
+
+
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of a fixed-point map F.
+
+    Rows of ``_dg`` and ``_df`` hold, in a ring of ``_AA_MEMORY`` rows, the
+    differences of successive residuals w - F(w) and of successive map values
+    F(w); ``_gram`` is dg dg^T, updated one row per step. While the newest
+    point is an extrapolation, ``_fallback`` holds the plain step it replaced
+    and ``_fallback_norm`` the residual norm that step came from.
+
+    Products with the ring always take all its rows (unused ones are zero or
+    stale, and their results are dropped): OpenBLAS splits a product with
+    several rows between its threads by output entries, but a one-row
+    product is a dot product, which it splits within the sum, so the steps
+    would depend on the thread count. The residual norm uses ``np.einsum``'s
+    own loop for that reason.
+    """
+
+    def __init__(self, size: int) -> None:
+        self._dg = np.zeros((_AA_MEMORY, size))
+        self._df = np.zeros((_AA_MEMORY, size))
+        self._gram = np.zeros((_AA_MEMORY, _AA_MEMORY))
+        self._clear()
+
+    def _clear(self) -> None:
+        self._count = 0
+        self._next = 0
+        self._prev: tuple[np.ndarray, np.ndarray] | None = None
+        self._fallback: np.ndarray | None = None
+        self._fallback_norm = math.inf
+
+    def advance(self, w: np.ndarray, f: np.ndarray, restart: bool) -> np.ndarray:
+        """The point to evaluate after w, given f = F(w).
+
+        If w is an extrapolation whose residual norm exceeds that of the
+        point it came from, it is rejected: the history is cleared and the
+        plain step it replaced is returned. With ``restart`` the history is
+        cleared and the plain step returned. Otherwise the pair is recorded
+        and f - dF^T gamma returned, where gamma minimizes |g - dG^T gamma|
+        (Tikhonov-regularized) for g = w - f; f itself when there is no
+        history yet or the small solve fails, which clears the history.
+        """
+        g = w - f
+        norm = math.sqrt(np.einsum("i,i->", g, g))
+        if self._fallback is not None and norm > self._fallback_norm:
+            plain = self._fallback
+            self._clear()
+            return plain
+        if restart:
+            self._clear()
+            return f
+        self._fallback = None
+        prev, self._prev = self._prev, (g, f)
+        if prev is None:
+            return f
+        j = self._next
+        np.subtract(g, prev[0], out=self._dg[j])
+        np.subtract(f, prev[1], out=self._df[j])
+        self._next = (j + 1) % _AA_MEMORY
+        self._count = c = min(self._count + 1, _AA_MEMORY)
+        gram = self._gram[:c, :c]
+        gram[j] = gram[:, j] = (self._dg @ self._dg[j])[:c]
+        h = gram + (_AA_REG * gram.trace()) * np.eye(c)
+        try:
+            gamma = np.linalg.solve(h, (self._dg @ g)[:c])
+        except np.linalg.LinAlgError:
+            gamma = None
+        if gamma is None or not np.isfinite(gamma).all():
+            self._clear()
+            return f
+        self._fallback, self._fallback_norm = f, norm
+        coef = np.zeros(_AA_MEMORY)
+        coef[:c] = gamma
+        out = coef @ self._df
+        return np.subtract(f, out, out=out)
+
+
 def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) -> SdpSolution:
     """Minimize tr(B S) over PSD S meeting the subset-lift affine constraints.
 
@@ -209,6 +340,16 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
     penalty parameter self-tunes by residual balancing. Terminates when both
     the max affine violation of the PSD iterate (plus the splitting gap) and
     the dual step fall below ``tol``.
+
+    The ADMM step is a fixed-point map of the pair (z, u), accelerated by
+    safeguarded type-II Anderson extrapolation over the last ``_AA_MEMORY``
+    steps (Zhang, O'Donoghue & Boyd 2020; see ``_Anderson``). An
+    extrapolated point is kept only if its fixed-point residual is no larger
+    than that of the point it came from; otherwise the loop goes on from the
+    plain step it replaced. The history is cleared then, on every penalty
+    change, and when the small solve fails. ``iterations`` counts PSD
+    projections, rejected extrapolations included, and ``s_hat`` is always
+    a projection's output, never an extrapolated point.
 
     When A is invariant under the QPSK input rotation (see ``_input_orbits``)
     every iterate is too, so the loop stores one value per orbit of entries
@@ -240,6 +381,9 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
     z[0, g, g] = 1.0
     u = np.zeros_like(z)
 
+    packing = _Packing(g, r)
+    accel = _Anderson(2 * packing.size)
+    w = packing.pack(z, u)
     rho = _RHO_INIT
     primal = dual = math.inf
     iterations = 0
@@ -247,25 +391,28 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
     for iterations in range(1, max_iter + 1):
         x = _affine_project(z - u - b_red / rho, k)
         x_hat = _ALPHA * x + (1.0 - _ALPHA) * z
-        z_new = _psd_project(x_hat + u)
-        u += x_hat - z_new
+        z_psd = _psd_project(x_hat + u)
+        u += x_hat - z_psd
         primal = max(
-            _constraint_violation(z_new, k), float(np.abs(x - z_new).max())
+            _constraint_violation(z_psd, k), float(np.abs(x - z_psd).max())
         )
-        dual = rho * float(np.abs(z_new - z).max())
-        z = z_new
+        dual = rho * float(np.abs(z_psd - z).max())
         if max(primal, dual) < tol:
             converged = True
             break
+        scale = 1.0
         if iterations % 10 == 0:
             if primal > 10.0 * dual and rho < 1e6:
-                rho *= 2.0
-                u /= 2.0
+                scale = 0.5
             elif dual > 10.0 * primal and rho > 1e-6:
-                rho /= 2.0
-                u *= 2.0
+                scale = 2.0
+        w = accel.advance(w, packing.pack(z_psd, u), restart=scale != 1.0)
+        if scale != 1.0:
+            rho /= scale
+            w[packing.size :] *= scale  # the scaled dual u
+        z, u = packing.unpack(w)
 
-    s_hat = _expand(z, orbits)
+    s_hat = _expand(z_psd, orbits)
     return SdpSolution(
         s_hat=s_hat,
         objective=float((b_mat * s_hat).sum()),

@@ -232,14 +232,47 @@ class TestSweep:
         header = lines[1].split(",")
         assert header[:3] == ["snr_db", "capacity_ba", "rate_uniform_full"]
         assert "rate_k4_sdp" in header and "ser_k4_full" in header
+        # Solver diagnostics come after every rate column.
+        assert header[-3:] == ["ba_converged", "sdp_converged_k4", "sdp_iters_k4"]
         assert len(lines) == 4
         for line in lines[2:]:
-            row = dict(zip(header, map(float, line.split(","))))
+            cells = line.split(",")
+            assert cells[-3:-1] == ["1", "1"] and cells[-1].isdigit()
+            row = dict(zip(header, map(float, cells)))
+            assert 1 <= row["sdp_iters_k4"] <= 5000
             # method full repeats the full-set columns
             assert row["rate_k4_full"] == row["rate_uniform_full"]
             # orderings
             assert row["cutoff_k4_sdp"] <= row["rate_k4_sdp"] + 1e-9
             assert row["rate_k4_sdp"] <= row["capacity_ba"] + 1e-6
+
+    def test_unconverged_sdp_flagged(self, capsys, h_file):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--h-matrix", h_file, "--snr-db", "5",
+            "--k", "4,8", "--methods", "bsa,sdp", "--seed", "0",
+            "--nrand", "5", "--sdp-max-iter", "5",
+        )
+        assert code == 0
+        lines = out.strip().split("\n")
+        header = lines[1].split(",")
+        assert header[-5:] == [
+            "ba_converged", "sdp_converged_k4", "sdp_iters_k4",
+            "sdp_converged_k8", "sdp_iters_k8",
+        ]
+        assert "ba_converged" not in header[:-5]
+        row = dict(zip(header, lines[2].split(",")))
+        assert row["ba_converged"] == "1"
+        assert row["sdp_converged_k4"] == "0" and row["sdp_iters_k4"] == "5"
+        assert row["sdp_converged_k8"] == "0" and row["sdp_iters_k8"] == "5"
+
+    def test_no_sdp_columns_without_sdp(self, capsys, h_file):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--h-matrix", h_file, "--snr-db", "5",
+            "--k", "4", "--methods", "full", "--seed", "0",
+        )
+        assert code == 0
+        header = out.strip().split("\n")[1].split(",")
+        assert header[-2:] == ["ser_k4_full", "ba_converged"]
 
     def test_exhaustive_dominance_in_sweep(self, capsys, h_file):
         code, out, _ = run_cli(
@@ -365,6 +398,21 @@ class TestCodedBer:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_negative_seed_rejected_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a channel or an LLR table was built")
+
+        monkeypatch.setattr(link, "build_quantized_mimo", no_work)
+        monkeypatch.setattr(link, "compute_llrs_block", no_work)
+        monkeypatch.setattr(cli, "_load_h", no_work)
+        code, out, err = run_cli(
+            capsys, "coded-ber", "--h-matrix", "bundled", "--mask", "full",
+            "--snr-db", "0,10", "--seed=-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("snr_db", [",", "4000", "0,inf"])
     def test_unusable_snr_rejected(self, capsys, h_file, monkeypatch, snr_db):

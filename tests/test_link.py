@@ -253,6 +253,16 @@ class TestRunCodedBer:
         with pytest.raises(ValueError):
             run_coded_ber(h, mask, [10.0], **kwargs)
 
+    def test_negative_seed_rejected_before_any_point(self, monkeypatch):
+        def no_point(*args, **kwargs):
+            raise AssertionError("an SNR point was built")
+
+        monkeypatch.setattr(link, "build_quantized_mimo", no_point)
+        h = random_h(2, 2, seed=83)
+        mask = SubsetMask.from_indices(16, [0, 5, 10, 15])
+        with pytest.raises(ValueError, match="non-negative"):
+            run_coded_ber(h, mask, [0.0, 10.0], n=24, total_rate=1.0, seeds=(0, -1))
+
     def test_repeated_snr_points_rejected(self):
         # A repeated point reuses the same (seed, frame) streams, so its
         # frames would be counted twice when the records are merged.

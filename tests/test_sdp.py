@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +32,9 @@ from dmc_shaper import (
     sdp_select,
     solve_sdp,
 )
+from dmc_shaper import sdp
 from dmc_shaper.mimo import qpsk_rotation
-from dmc_shaper.sdp import SdpSolution, _input_orbits, _quantize_top_k
+from dmc_shaper.sdp import SdpSolution, _expand, _input_orbits, _Packing, _quantize_top_k, _reduce
 
 
 def bsc(p):
@@ -203,6 +208,117 @@ class TestSolveSdp:
             solve_sdp(g, k=2, tol=float("nan"))
         with pytest.raises(ValueError, match="max_iter"):
             solve_sdp(g, k=2, max_iter=0)
+
+
+class _RecordingAnderson(sdp._Anderson):
+    """Logs what each ``advance`` returned: "P" a plain step, "E" an
+    extrapolation, "R" the plain step an extrapolation was rejected for."""
+
+    log: list[str] = []
+
+    def advance(self, w, f, restart):
+        pending = self._fallback
+        out = super().advance(w, f, restart)
+        if pending is not None and out is pending:
+            self.log.append("R")
+        else:
+            self.log.append("E" if self._fallback is not None else "P")
+        return out
+
+
+@pytest.fixture()
+def recorded_steps(monkeypatch):
+    log: list[str] = []
+    monkeypatch.setattr(_RecordingAnderson, "log", log)
+    monkeypatch.setattr(sdp, "_Anderson", _RecordingAnderson)
+    return log
+
+
+class TestAndersonAcceleration:
+    def test_packing_keeps_frobenius_products(self):
+        rng = np.random.default_rng(64)
+        gains = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) * np.sqrt(0.5)
+        a = build_gram(build_quantized_mimo(ComplexChannelMatrix(gains), SnrPoint.from_db(5.0)))
+        m = a.shape[0]
+        rot = np.append(qpsk_rotation(3), m)
+        for orbits in (_input_orbits(a), np.arange(m)[:, None]):
+            g, r = orbits.shape
+            packing = _Packing(g, r)
+            full = []
+            for _ in range(2):
+                x = rng.standard_normal((m + 1, m + 1))
+                x = x + x.T
+                # Sum over the rotation group: an invariant matrix.
+                turns = [x]
+                for _ in range(3):
+                    turns.append(turns[-1][np.ix_(rot, rot)])
+                full.append(sum(turns))
+            red = [_reduce(x, orbits) for x in full]
+            v1 = packing.pack(red[0], red[1])
+            v2 = packing.pack(red[1], red[0])
+            assert v1 @ v2 == pytest.approx(2.0 * (full[0] * full[1]).sum(), rel=1e-12)
+            z, u = packing.unpack(v1)
+            np.testing.assert_allclose(_expand(z, orbits), full[0], atol=1e-12)
+            np.testing.assert_allclose(_expand(u, orbits), full[1], atol=1e-12)
+
+    def test_desk21_converges_fast(self):
+        # 14,750 iterations without acceleration.
+        g = build_gram(small_mimo_channel(seed=[9000, 21]))
+        sol = solve_sdp(g, k=4, tol=1e-8, max_iter=20_000)
+        assert sol.converged
+        assert sol.iterations < 2_000
+
+    def test_psd_after_accepted_extrapolation(self, recorded_steps):
+        g = build_gram(small_mimo_channel(seed=[9000, 21]))
+        sol = solve_sdp(g, k=4, tol=1e-8, max_iter=20_000)
+        assert sol.converged
+        # The last projection was of an extrapolated point, and it passed.
+        assert recorded_steps[-1] == "E"
+        assert len(recorded_steps) == sol.iterations - 1
+        assert np.linalg.eigvalsh(sol.s_hat).min() >= -1e-12
+        # Stopped by max_iter right after an extrapolation passed the
+        # safeguard: s_hat is still the last projection's output.
+        checked = 0
+        for max_iter in range(3, 40):
+            recorded_steps.clear()
+            sol = solve_sdp(g, k=4, tol=1e-8, max_iter=max_iter)
+            assert len(recorded_steps) == max_iter
+            if recorded_steps[-2:] == ["E", "E"]:
+                checked += 1
+                assert np.linalg.eigvalsh(sol.s_hat).min() >= -1e-12
+        assert checked >= 10
+
+    def test_steps_do_not_depend_on_blas_threads(self):
+        # The history's dot products are as long as 16,642 entries here, where
+        # a BLAS that splits one sum between threads would change its bits.
+        code = (
+            "import hashlib, dmc_shaper as d\n"
+            "ch = d.build_quantized_mimo(d.example_h4x4(), d.SnrPoint.from_db(0.0))\n"
+            "sol = d.solve_sdp(d.build_gram(ch), 16, tol=1e-4, max_iter=150)\n"
+            "print(sol.iterations, hashlib.sha256(sol.s_hat.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(sdp.__file__).resolve().parents[1])
+        outputs = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+
+    def test_rejected_extrapolation_counts_toward_max_iter(self, recorded_steps):
+        g = build_gram(small_mimo_channel(seed=[9000, 21]))
+        solve_sdp(g, k=4, tol=1e-8, max_iter=20_000)
+        first = recorded_steps.index("R") + 1
+        for max_iter in (first, first + 1):
+            recorded_steps.clear()
+            sol = solve_sdp(g, k=4, tol=1e-8, max_iter=max_iter)
+            assert "R" in recorded_steps
+            assert not sol.converged
+            assert sol.iterations == max_iter
+            assert len(recorded_steps) == max_iter
+            assert np.linalg.eigvalsh(sol.s_hat).min() >= -1e-12
 
 
 class TestPsdFactorize:
