@@ -12,7 +12,6 @@ from .channel import (
     channel_to_dict,
     check_channel_dict,
     load_channel,
-    restrict,
     save_channel,
 )
 from .ldpc import BpResult, LdpcCode, bp_decode, build_ldpc
@@ -21,7 +20,6 @@ from .link import (
     SymbolLabeling,
     average_ber_records,
     compute_llrs_block,
-    demap_bits,
     map_bits,
     run_coded_ber,
 )
@@ -39,7 +37,6 @@ from .rates import (
     blahut_arimoto,
     cutoff_rate,
     mutual_information,
-    per_symbol_misdetect,
     ser_ml,
     uniform_subset_rate,
 )
@@ -89,7 +86,6 @@ __all__ = [
     "check_channel_dict",
     "compute_llrs_block",
     "cutoff_rate",
-    "demap_bits",
     "enumerate_qpsk_inputs",
     "evaluate_mask",
     "example_h4x4",
@@ -98,9 +94,7 @@ __all__ = [
     "load_h_matrix",
     "map_bits",
     "mutual_information",
-    "per_symbol_misdetect",
     "psd_factorize",
-    "restrict",
     "round_solution",
     "run_coded_ber",
     "sample_receive_many",

@@ -186,14 +186,6 @@ class SubsetMask:
         return cls(np.ones(m, dtype=bool))
 
 
-def restrict(ch: DmcChannel, mask: SubsetMask) -> DmcChannel:
-    """Channel of the selected rows only (k x L, row stochasticity preserved)."""
-    if mask.m != ch.num_inputs:
-        raise ValueError("mask length does not match channel inputs")
-    sel = mask.indices
-    return DmcChannel(trans=ch.trans[sel].copy(), log_trans=ch.log_trans[sel].copy())
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange: {"M": int, "L": int, "P": [[float; L]; M]}
 # ---------------------------------------------------------------------------

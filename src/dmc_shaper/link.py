@@ -77,17 +77,6 @@ def map_bits(codebits: np.ndarray, lab: SymbolLabeling) -> tuple[np.ndarray, int
     return lab.selected[ranks], n_pad
 
 
-def demap_bits(indices: np.ndarray, lab: SymbolLabeling) -> np.ndarray:
-    """Inverse of map_bits (padding included)."""
-    indices = np.asarray(indices)
-    order = np.argsort(lab.selected)
-    at = np.searchsorted(lab.selected, indices, sorter=order)
-    ranks = order[np.minimum(at, order.shape[0] - 1)]
-    if not np.array_equal(lab.selected[ranks], indices):
-        raise ValueError("index not in the selected subset")
-    return lab.label_bits()[:, ranks].T.astype(np.uint8).ravel()
-
-
 def compute_llrs_block(
     ch: DmcChannel, lab: SymbolLabeling, y_indices: np.ndarray
 ) -> np.ndarray:

@@ -8,6 +8,9 @@ sqrt(0) = 0 throughout; ML argmax ties break toward the smallest input index.
 Each subset criterion has one formula, a ``batch_*`` function that takes an
 integer index stack of shape (..., K), rows of ascending input indices, and
 returns one value per row; the scalar functions call it on ``mask.indices``.
+Rate, cutoff rate and SER each fold the subset's rows into a column
+aggregate (sum, sum of square roots, maximum) and finish from it; exhaustive
+search builds the same aggregate one row at a time and calls the same finish.
 The rate is log2 K + (sum_{x in S} r(x) - sum_y d(y) ln d(y)) / (K ln 2) with
 the row term r(x) = sum_y P(y|x) ln P(y|x) and d(y) = sum_{x in S} P(y|x).
 
@@ -60,13 +63,17 @@ def mutual_information(ch: DmcChannel, p: InputDistribution) -> float:
     return float(p.probs @ _divergence(ch.trans, _row_plogp(ch), p.probs)) / _LN2
 
 
-def batch_rate(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
-    """Uniform-prior mutual information of each subset in a (..., K) stack."""
-    k = idx.shape[-1]
-    denom = ch.trans[idx].sum(axis=-2)
-    dlogd = denom * np.log(np.where(denom > 0.0, denom, 1.0))  # 0 where d(y) = 0
-    row_sum = _row_plogp(ch)[idx].sum(axis=-1)
-    return math.log2(k) + (row_sum - dlogd.sum(axis=-1)) / (k * _LN2)
+def _rate_parts(ch: DmcChannel):
+    """Rate from the column sums d(y) = sum_{x in S} P(y|x)."""
+    row_plogp = _row_plogp(ch)
+
+    def finish(idx: np.ndarray, denom: np.ndarray) -> np.ndarray:
+        k = idx.shape[-1]
+        dlogd = denom * np.log(np.where(denom > 0.0, denom, 1.0))  # 0 where d(y) = 0
+        row_sum = row_plogp[idx].sum(axis=-1)
+        return math.log2(k) + (row_sum - dlogd.sum(axis=-1)) / (k * _LN2)
+
+    return ch.trans, np.add, finish
 
 
 def cutoff_bits(k: int, bhattacharyya_sum):
@@ -74,15 +81,48 @@ def cutoff_bits(k: int, bhattacharyya_sum):
     return 2.0 * math.log2(k) - np.log2(bhattacharyya_sum)
 
 
+def _cutoff_parts(ch: DmcChannel):
+    """Cutoff rate from the column sums sum_{x in S} sqrt(P(y|x))."""
+
+    def finish(idx: np.ndarray, col: np.ndarray) -> np.ndarray:
+        return cutoff_bits(idx.shape[-1], (col * col).sum(axis=-1))
+
+    return np.sqrt(ch.trans), np.add, finish
+
+
+def _ser_parts(ch: DmcChannel):
+    """ML symbol error rate from the column maxima max_{x in S} P(y|x)."""
+
+    def finish(idx: np.ndarray, colmax: np.ndarray) -> np.ndarray:
+        return 1.0 - colmax.sum(axis=-1) / idx.shape[-1]
+
+    return ch.trans, np.maximum, finish
+
+
+# Criterion -> parts(ch) = (rows, fold, finish). A subset's score is
+# finish(idx, fold.reduce(rows[idx], axis=-2)); numpy folds axis -2 row after
+# row, so folding one more row onto a prefix's aggregate gives the same bits.
+_COLUMN_SCORERS = {"rate": _rate_parts, "ser": _ser_parts, "cutoff": _cutoff_parts}
+
+
+def _score(parts, idx: np.ndarray) -> np.ndarray:
+    rows, fold, finish = parts
+    return finish(idx, fold.reduce(rows[idx], axis=-2))
+
+
+def batch_rate(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
+    """Uniform-prior mutual information of each subset in a (..., K) stack."""
+    return _score(_rate_parts(ch), idx)
+
+
 def batch_cutoff_rate(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
     """Cutoff rate of each subset in a (..., K) stack."""
-    col = np.sqrt(ch.trans)[idx].sum(axis=-2)
-    return cutoff_bits(idx.shape[-1], (col * col).sum(axis=-1))
+    return _score(_cutoff_parts(ch), idx)
 
 
 def batch_ser(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
     """ML symbol error rate of each subset in a (..., K) stack."""
-    return 1.0 - ch.trans[idx].max(axis=-2).sum(axis=-1) / idx.shape[-1]
+    return _score(_ser_parts(ch), idx)
 
 
 def batch_misdetect(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
@@ -110,11 +150,6 @@ def uniform_subset_rate(ch: DmcChannel, mask: SubsetMask) -> float:
 def ser_ml(ch: DmcChannel, mask: SubsetMask) -> float:
     """Symbol error rate of ML decoding under the uniform prior on the subset."""
     return float(batch_ser(ch, _check_mask(ch, mask)))
-
-
-def per_symbol_misdetect(ch: DmcChannel, mask: SubsetMask) -> np.ndarray:
-    """ML misdetection probability of each selected input, ascending order."""
-    return batch_misdetect(ch, _check_mask(ch, mask))
 
 
 def cutoff_rate(ch: DmcChannel, mask: SubsetMask) -> float:

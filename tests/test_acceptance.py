@@ -177,6 +177,7 @@ def test_criterion_1_closed_form_oracles():
     report(1, not problems, f"closed forms in {elapsed:.3f}s" if not problems else "; ".join(problems))
 
 
+@pytest.mark.slow
 def test_criterion_2_rate_ordering_on_bundled_h(sweep_data):
     problems = []
     for row in sweep_data["rows"]:
@@ -208,6 +209,7 @@ def test_criterion_2_rate_ordering_on_bundled_h(sweep_data):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_fig2_qualitative(sweep_data):
     rows = sweep_data["rows"]
     gain_points = [

@@ -16,10 +16,15 @@ from dmc_shaper import (
     check_channel_dict,
     load_channel,
     mutual_information,
-    restrict,
     save_channel,
     uniform_subset_rate,
 )
+
+
+def restrict(ch, mask):
+    """Channel of the selected rows only (k x L, row stochasticity preserved)."""
+    sel = mask.indices
+    return DmcChannel(trans=ch.trans[sel].copy(), log_trans=ch.log_trans[sel].copy())
 
 
 def random_channel(m, l, seed):

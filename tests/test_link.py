@@ -22,16 +22,26 @@ from dmc_shaper import (
     build_ldpc,
     build_quantized_mimo,
     compute_llrs_block,
-    demap_bits,
     enumerate_qpsk_inputs,
     exhaustive_select,
     map_bits,
-    per_symbol_misdetect,
     run_coded_ber,
     sample_receive_many,
     link,
+    rates,
     ser_ml,
 )
+
+
+def demap_bits(indices, lab):
+    """Inverse of map_bits (padding included)."""
+    indices = np.asarray(indices)
+    order = np.argsort(lab.selected)
+    at = np.searchsorted(lab.selected, indices, sorter=order)
+    ranks = order[np.minimum(at, order.shape[0] - 1)]
+    if not np.array_equal(lab.selected[ranks], indices):
+        raise ValueError("index not in the selected subset")
+    return lab.label_bits()[:, ranks].T.astype(np.uint8).ravel()
 
 
 def random_h(n, t, seed):
@@ -188,7 +198,7 @@ class TestUncodedMonteCarlo:
         mask = SubsetMask.from_indices(16, [0, 3, 8, 12])
         sel = mask.indices
         table = enumerate_qpsk_inputs(2)
-        costs = per_symbol_misdetect(ch, mask)
+        costs = rates.batch_misdetect(ch, mask.indices)
         n = 60_000
         rng = np.random.default_rng(999)
         for r in range(4):

@@ -25,7 +25,6 @@ from dmc_shaper import (
     cutoff_rate,
     example_h4x4,
     mutual_information,
-    per_symbol_misdetect,
     ser_ml,
     uniform_subset_rate,
 )
@@ -124,25 +123,25 @@ class TestPerSymbolMisdetect:
     def test_noiseless_all_zero(self):
         ch = DmcChannel.from_probs(np.eye(4))
         np.testing.assert_allclose(
-            per_symbol_misdetect(ch, SubsetMask.full(4)), 0.0, atol=0
+            rates.batch_misdetect(ch, SubsetMask.full(4).indices), 0.0, atol=0
         )
 
     def test_tie_break_toward_smallest_index(self):
         ch = DmcChannel.from_probs(np.tile([0.5, 0.5], (2, 1)))
         np.testing.assert_allclose(
-            per_symbol_misdetect(ch, SubsetMask.full(2)), [0.0, 1.0]
+            rates.batch_misdetect(ch, SubsetMask.full(2).indices), [0.0, 1.0]
         )
 
     def test_bsc_value(self):
         np.testing.assert_allclose(
-            per_symbol_misdetect(bsc(0.1), SubsetMask.full(2)), [0.1, 0.1]
+            rates.batch_misdetect(bsc(0.1), SubsetMask.full(2).indices), [0.1, 0.1]
         )
 
     def test_mean_equals_ser_without_ties(self):
         for seed in range(10):
             ch = random_channel(9, 6, seed)
             mask = random_mask(9, 4, seed + 7)
-            costs = per_symbol_misdetect(ch, mask)
+            costs = rates.batch_misdetect(ch, mask.indices)
             assert costs.mean() == pytest.approx(ser_ml(ch, mask), abs=1e-12)
 
 
@@ -192,8 +191,8 @@ class TestOrderingInvariants:
             uniform_subset_rate(ch_perm, mask_perm), abs=1e-12
         )
         # Misdetection costs permute with the rows.
-        got = per_symbol_misdetect(ch_perm, mask_perm)
-        want = per_symbol_misdetect(ch, mask)
+        got = rates.batch_misdetect(ch_perm, mask_perm.indices)
+        want = rates.batch_misdetect(ch, mask.indices)
         order_old = mask.indices
         order_new = perm[perm_positions]
         lookup = {int(x): w for x, w in zip(order_old, want)}

@@ -18,6 +18,7 @@ from dmc_shaper import (
     build_quantized_mimo,
     cutoff_rate,
     exhaustive_select,
+    rates,
     ser_ml,
     subset_search,
     uniform_subset_rate,
@@ -112,6 +113,59 @@ class TestExhaustiveSelect:
         ch = DmcChannel.from_probs(np.eye(5))
         mask, _ = exhaustive_select(ch, 3, "cutoff")
         np.testing.assert_array_equal(mask.indices, [0, 1, 2])
+
+
+def brute_force(ch, k, criterion):
+    """Every k-subset scored by the matching batch_* call; the first best wins."""
+    scorer = {"rate": rates.batch_rate, "ser": rates.batch_ser, "cutoff": rates.batch_cutoff_rate}
+    combos = np.asarray(list(itertools.combinations(range(ch.num_inputs), k)), dtype=np.intp)
+    vals = scorer[criterion](ch, combos)
+    i = int(vals.argmin() if criterion == "ser" else vals.argmax())
+    return combos[i].tolist(), vals[i]
+
+
+def duplicated_rows_channel():
+    """Inputs 0 and 3 are copies, as are 1 and 4, and 2 and 6, so several
+    subsets reach each optimum with the same bits."""
+    base = random_channel(5, 6, seed=61).trans
+    return DmcChannel.from_probs(base[[3, 0, 1, 3, 0, 4, 1, 2]])
+
+
+class TestExhaustiveBitIdentity:
+    """Exhaustive search extends prefix column aggregates; every value must
+    keep the bits of scoring each full subset, ties included."""
+
+    @staticmethod
+    def check(ch, k, criterion):
+        mask, val = exhaustive_select(ch, k, criterion)
+        want_sel, want_val = brute_force(ch, k, criterion)
+        assert mask.indices.tolist() == want_sel
+        assert val == want_val
+
+    @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
+    @pytest.mark.parametrize("k", [2, 3, 15, 16])
+    def test_seeded_mimo(self, criterion, k):
+        for seed in range(3):
+            for snr_db in (-5.0, 10.0):
+                self.check(small_mimo_channel(seed + 60, snr_db), k, criterion)
+
+    @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
+    def test_duplicated_rows_tie_to_smallest_subset(self, criterion):
+        ch = duplicated_rows_channel()
+        for k in (2, 3, 4, 5):
+            self.check(ch, k, criterion)
+        mask, _ = exhaustive_select(ch, 2, criterion)
+        assert mask.indices.tolist() == [0, 7]  # [3, 7] ties with it
+
+    @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
+    @pytest.mark.parametrize("subsets_per_chunk", [1, 3, 7])
+    def test_multi_chunk(self, monkeypatch, criterion, subsets_per_chunk):
+        for ch in (small_mimo_channel(62, snr_db=5.0), duplicated_rows_channel()):
+            monkeypatch.setattr(
+                subset_search, "_CHUNK_ENTRIES", subsets_per_chunk * ch.num_outputs
+            )
+            for k in (2, 4):
+                self.check(ch, k, criterion)
 
 
 class TestBsaSelect:
