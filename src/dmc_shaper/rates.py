@@ -64,16 +64,14 @@ def mutual_information(ch: DmcChannel, p: InputDistribution) -> float:
 
 
 def _rate_parts(ch: DmcChannel):
-    """Rate from the column sums d(y) = sum_{x in S} P(y|x)."""
-    row_plogp = _row_plogp(ch)
+    """Rate from the column sums d(y) = sum_{x in S} P(y|x) and the sum of
+    the row terms sum_y P(y|x) ln P(y|x)."""
 
-    def finish(idx: np.ndarray, denom: np.ndarray) -> np.ndarray:
-        k = idx.shape[-1]
+    def finish(k: int, denom: np.ndarray, row_sum: np.ndarray) -> np.ndarray:
         dlogd = denom * np.log(np.where(denom > 0.0, denom, 1.0))  # 0 where d(y) = 0
-        row_sum = row_plogp[idx].sum(axis=-1)
         return math.log2(k) + (row_sum - dlogd.sum(axis=-1)) / (k * _LN2)
 
-    return ch.trans, np.add, finish
+    return ch.trans, np.add, finish, _row_plogp(ch)
 
 
 def cutoff_bits(k: int, bhattacharyya_sum):
@@ -84,30 +82,32 @@ def cutoff_bits(k: int, bhattacharyya_sum):
 def _cutoff_parts(ch: DmcChannel):
     """Cutoff rate from the column sums sum_{x in S} sqrt(P(y|x))."""
 
-    def finish(idx: np.ndarray, col: np.ndarray) -> np.ndarray:
-        return cutoff_bits(idx.shape[-1], (col * col).sum(axis=-1))
+    def finish(k: int, col: np.ndarray, _row_sum: None) -> np.ndarray:
+        return cutoff_bits(k, (col * col).sum(axis=-1))
 
-    return np.sqrt(ch.trans), np.add, finish
+    return np.sqrt(ch.trans), np.add, finish, None
 
 
 def _ser_parts(ch: DmcChannel):
     """ML symbol error rate from the column maxima max_{x in S} P(y|x)."""
 
-    def finish(idx: np.ndarray, colmax: np.ndarray) -> np.ndarray:
-        return 1.0 - colmax.sum(axis=-1) / idx.shape[-1]
+    def finish(k: int, colmax: np.ndarray, _row_sum: None) -> np.ndarray:
+        return 1.0 - colmax.sum(axis=-1) / k
 
-    return ch.trans, np.maximum, finish
+    return ch.trans, np.maximum, finish, None
 
 
-# Criterion -> parts(ch) = (rows, fold, finish). A subset's score is
-# finish(idx, fold.reduce(rows[idx], axis=-2)); numpy folds axis -2 row after
+# Criterion -> parts(ch) = (rows, fold, finish, term). A subset's score is
+# finish(K, fold.reduce(rows[idx], axis=-2), term[idx].sum(axis=-1)), with
+# None for the last argument when term is None; numpy folds axis -2 row after
 # row, so folding one more row onto a prefix's aggregate gives the same bits.
 _COLUMN_SCORERS = {"rate": _rate_parts, "ser": _ser_parts, "cutoff": _cutoff_parts}
 
 
 def _score(parts, idx: np.ndarray) -> np.ndarray:
-    rows, fold, finish = parts
-    return finish(idx, fold.reduce(rows[idx], axis=-2))
+    rows, fold, finish, term = parts
+    row_sum = None if term is None else term[idx].sum(axis=-1)
+    return finish(idx.shape[-1], fold.reduce(rows[idx], axis=-2), row_sum)
 
 
 def batch_rate(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:

@@ -4,10 +4,10 @@ Selecting the size-k subset that maximizes the cutoff rate is equivalent to
 minimizing b^T A b over binary b with exactly k ones, where A is the Gram
 matrix of square-root likelihood rows (pairwise confusability). The problem
 is lifted with a sign slack variable to a symmetric form, relaxed by dropping
-the rank-one constraint, solved by an ADMM splitting between the affine
-constraint set and the PSD cone, and rounded back to a subset: Gaussian
-draws from the solution covariance plus its dominant eigenvector are each
-quantized to their top k entries, and the best is kept.
+the rank-one constraint, solved by a primal-dual interior-point method, and
+rounded back to a subset: Gaussian draws from the solution covariance plus
+its dominant eigenvector are each quantized to their top k entries, and the
+best is kept.
 """
 
 from __future__ import annotations
@@ -21,18 +21,19 @@ from .channel import DmcChannel, SubsetMask
 from .mimo import qpsk_rotation
 from .rates import check_stopping_rule, cutoff_bits, cutoff_rate
 
-_RHO_INIT = 1.0  # ADMM penalty at the start; residual balancing rescales it
-_ALPHA = 1.6  # ADMM over-relaxation
-_AA_MEMORY = 5  # Anderson acceleration: past steps that enter each extrapolation
-_AA_REG = 1e-10  # Tikhonov weight of the small solve, relative to its trace
+# The dual start is Z = B + tau I. With tau from 0.1 to 10 the desk and
+# bundled-H sweep solves took within 13% of the same iteration totals.
+_TAU = 1.0
 
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """PSD iterate of the relaxed program with solver diagnostics.
+    """Primal iterate of the relaxed program with solver diagnostics.
 
-    ``s_hat`` is exactly PSD (it leaves the cone projection); the affine
-    constraints hold up to ``primal_residual``.
+    ``s_hat`` is PSD (positive definite unless k = M); the affine
+    constraints hold up to ``primal_residual``. ``lower_bound`` is a
+    certified lower bound on the relaxation's optimum, so on b^T A b for
+    every k-subset; -inf when none was computed.
     """
 
     s_hat: np.ndarray
@@ -41,6 +42,7 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     converged: bool
+    lower_bound: float = -math.inf
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,12 @@ def build_gram(ch: DmcChannel) -> np.ndarray:
     return a
 
 
-# Orbit coordinates pay off from this M on: on a 2-core x86 box, 300
-# iterations on Z4-invariant Gram matrices took 0.14/0.18/0.23/0.32 ms per
-# iteration plain and 0.23/0.21/0.21/0.25 orbit-wise at M = 16/24/28/32.
-# The QPSK rotation exists only for M = 4^T, so M = 16 stays plain.
+# Orbit coordinates pay off from this M on: on a 2-core x86 box, the
+# interior-point loop took 0.43-0.51 ms per iteration plain and 0.60-0.72
+# ms on the Fourier blocks at M = 16 (the 50 desk solves), 2.7-3.8 against
+# 1.1-1.3 ms at M = 64 and 43-46 against 9.8-10.3 ms at M = 256, in the same
+# number of iterations. The QPSK rotation exists only for M = 4^T, so
+# M = 16 stays plain.
 _REDUCE_MIN_M = 32
 _INVARIANCE_TOL = 1e-12
 
@@ -126,61 +130,42 @@ def _expand(x: np.ndarray, orbits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _affine_project(x: np.ndarray, k: int) -> np.ndarray:
-    """Closest point with S_nn = 1, S_ii = S_in, sum_i S_ni = k+1.
-
-    Only the diagonal, the last row/column, and the corner are constrained,
-    so the projection is closed-form in those coordinates. Works on orbit
-    coordinates, where every orbit value stands for r entries.
-    """
-    r, n, _ = x.shape
-    g = n - 1
-    out = x.copy()
-    d0 = np.diag(x[0])[:g]
-    v0 = x[0, :g, g]
-    w = (d0 + 2.0 * v0) / 3.0
-    v = w - (r * w.sum() - k) / (r * g)
-    out[0, g, g] = 1.0
-    idx = np.arange(g)
-    out[0, idx, idx] = v
-    out[0, :g, g] = v
-    out[0, g, :g] = v
-    return out
+_WEIGHTS = (1.0, 1.0, 2.0)  # block 1 also stands for its conjugate, block 3
 
 
-def _clip(a: np.ndarray) -> np.ndarray:
-    """Nearest PSD (Hermitian) matrix to the Hermitian part of ``a``."""
-    w, q = np.linalg.eigh((a + a.conj().T) / 2.0)
-    pos = w > 0.0
-    qp = q[:, pos]
-    return (qp * w[pos]) @ qp.conj().T
-
-
-def _psd_project(x: np.ndarray) -> np.ndarray:
-    """Project orbit coordinates onto the PSD cone of the full matrix.
+def _to_blocks(x: np.ndarray) -> list[np.ndarray]:
+    """Fourier blocks of orbit coordinates; the full matrix is PSD iff they are.
 
     A length-4 DFT over d block-diagonalizes the invariant matrix: frequency
     0 is the real block sum_d c[d] bordered by 2s and t, frequency 2 the real
     block sum_d (-1)^d c[d], frequency 1 the Hermitian block
-    (c[0] - c[2]) + j (c[1] - c[3]), and frequency 3 its conjugate. Each
-    block is clipped on its own and the DFT undone.
+    (c[0] - c[2]) + j (c[1] - c[3]), and frequency 3 its conjugate, which
+    block 1's weight in ``_WEIGHTS`` stands for. Frobenius products of full
+    matrices are the weighted sums of block products. With r = 1 the one
+    block is the matrix itself.
     """
     r, n, _ = x.shape
     if r == 1:
-        return _clip(x[0])[None]
+        return [x[0]]
     g = n - 1
     c = x[:, :g, :g]
     f0 = x.sum(axis=0)
     f0[:g, g] *= 2.0
     f0[g, :g] *= 2.0
-    p0 = _clip(f0)
-    p2 = _clip(c[0] - c[1] + c[2] - c[3])
-    p1 = _clip((c[0] - c[2]) + 1j * (c[1] - c[3]))
+    return [f0, c[0] - c[1] + c[2] - c[3], (c[0] - c[2]) + 1j * (c[1] - c[3])]
+
+
+def _from_blocks(blocks: list[np.ndarray]) -> np.ndarray:
+    """Inverse of ``_to_blocks``: orbit coordinates of the Fourier blocks."""
+    if len(blocks) == 1:
+        return blocks[0][None]
+    p0, p2, p1 = blocks
+    g = p2.shape[0]
     even = (p0[:g, :g] + p2) / 4.0
     odd = (p0[:g, :g] - p2) / 4.0
     re = p1.real / 2.0
     im = p1.imag / 2.0
-    out = np.zeros_like(x)
+    out = np.zeros((4, g + 1, g + 1))
     out[0, :g, :g] = even + re
     out[1, :g, :g] = odd + im
     out[2, :g, :g] = even - re
@@ -191,142 +176,84 @@ def _psd_project(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _constraint_violation(x: np.ndarray, k: int) -> float:
-    r, n, _ = x.shape
+def _dot(xs: list[np.ndarray], zs: list[np.ndarray]) -> float:
+    """Weighted Frobenius product of block lists (elementwise, so its bits
+    do not depend on the BLAS thread count)."""
+    return sum(w * float((x * z.conj()).real.sum()) for x, z, w in zip(xs, zs, _WEIGHTS))
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().T) / 2.0
+
+
+def _constraints(xs: list[np.ndarray], rt: float) -> np.ndarray:
+    """A(X), the g + 2 affine constraint values of block-diagonal X.
+
+    Value o < g is the sum of S_ii - S_in over the inputs i of orbit o,
+    value g the corner S_nn and value g + 1 the border sum
+    sum_i S_in + S_nn; rt = sqrt(r). Only the Hermitian part of each block
+    is read.
+    """
+    x0 = xs[0]
+    g = x0.shape[0] - 1
+    border = (x0[:g, g] + x0[g, :g]) / 2.0
+    diag = np.diagonal(x0)[:g] - rt * border
+    for x, w in zip(xs[1:], _WEIGHTS[1:]):
+        diag = diag + w * np.diagonal(x).real
+    return np.concatenate((diag, [x0[g, g], rt * border.sum() + x0[g, g]]))
+
+
+def _adjoint(y: np.ndarray, blocks: int, rt: float) -> list[np.ndarray]:
+    """A*(y) = sum_p y_p A_p, the adjoint of ``_constraints``, per block."""
+    g = y.size - 2
+    z0 = np.diag(np.append(y[:g], y[g] + y[g + 1]))
+    z0[:g, g] = z0[g, :g] = rt / 2.0 * (y[g + 1] - y[:g])
+    return [z0] + [np.diag(y[:g])] * (blocks - 1)
+
+
+def _schur(xs: list[np.ndarray], ws: list[np.ndarray], rt: float) -> np.ndarray:
+    """HKM Schur complement H_pq = <A_p, X A_q W> in closed form.
+
+    On block 0 every A_p is sym(e_i v_p^T) for column p of ``v`` and
+    i = ``idx[p]``, and tr(sym(a b^T) X sym(c d^T) W) is a sum of four
+    products of bilinear forms, so H is a sum of Hadamard products of
+    (g+2) x (g+2) matrices. On the other blocks A_p = E_pp for p < g and
+    H_pq = Re(X_pq W_qp).
+    """
+    x0, w0 = xs[0], ws[0]
+    n = x0.shape[0]
     g = n - 1
-    diag_vs_border = np.abs(np.diag(x[0])[:g] - x[0, :g, g]).max()
-    corner = abs(x[0, g, g] - 1.0)
-    border_sum = abs(r * x[0, g, :g].sum() + x[0, g, g] - (k + 1))
-    return max(diag_vs_border, corner, border_sum)
+    idx = np.append(np.arange(n), g)
+    v = np.eye(n, g + 2)
+    v[g, :g] = -rt
+    v[:g, g + 1] = rt
+    v[g, g + 1] = 1.0
+    xv, wv = x0 @ v, w0 @ v
+    t = xv[idx].T * wv[idx]
+    h = (t + t.T + (v.T @ xv) * w0[np.ix_(idx, idx)] + x0[np.ix_(idx, idx)] * (v.T @ wv)) / 4.0
+    for x, w, weight in zip(xs[1:], ws[1:], _WEIGHTS[1:]):
+        h[:g, :g] += weight * (x * w.T).real
+    return h
 
 
-class _Packing:
-    """The (z, u) pair of orbit coordinates as one vector of its free entries.
-
-    Block 0 (with its border) and block 2 are symmetric and block 3 is the
-    transpose of block 1, so only the upper triangles of blocks 0 and 2 and
-    all of block 1 are kept. Each entry is weighted by the square root of the
-    number of entries it stands for in the full (M+1) x (M+1) matrix, so dot
-    products of packed vectors are Frobenius products of full matrices, and
-    the orbit and the plain loop take the same steps.
-    """
-
-    def __init__(self, g: int, r: int) -> None:
-        n = g + 1
-        # (block, block of the mirror entry, rows, columns) of the free entries
-        parts = [(0, 0, *np.triu_indices(n))]
-        if r == 4:
-            parts += [(2, 2, *np.triu_indices(g)), (1, 3, *np.indices((g, g)).reshape(2, -1))]
-        block = np.concatenate([np.full(i.size, d) for d, _, i, _ in parts])
-        mirror = np.concatenate([np.full(i.size, e) for _, e, i, _ in parts])
-        row = np.concatenate([i for _, _, i, _ in parts])
-        col = np.concatenate([j for _, _, _, j in parts])
-        # An entry and its mirror image each stand for r full entries; the
-        # corner stands for itself alone.
-        mult = np.where((row != col) | (block != mirror), 2.0 * r, 1.0 * r)
-        mult[n * (n + 1) // 2 - 1] = 1.0  # last of block 0's upper triangle
-        p = self.size = row.size
-        # The zero borders of blocks 1-3 read an extra last slot, kept at 0.
-        slot = np.full((r, n, n), 2 * p)
-        slot[block, row, col] = slot[mirror, col, row] = np.arange(p)
-        self._take = np.ravel_multi_index((block, row, col), slot.shape)
-        self._weights = np.tile(np.sqrt(mult), 2)
-        self._unweights = 1.0 / self._weights
-        self._put = np.stack((slot, np.where(slot < 2 * p, slot + p, slot)))
-        self._ext = np.zeros(2 * p + 1)
-        self._zu = np.empty((2, r, n, n))
-
-    def pack(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # The indices are in range; any mode but "raise" lets take write
-        # into ``out`` without buffering a copy.
-        p = self.size
-        out = np.empty(2 * p)
-        np.take(z, self._take, out=out[:p], mode="clip")
-        np.take(u, self._take, out=out[p:], mode="clip")
-        out *= self._weights
-        return out
-
-    def unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(z, u) of a packed vector, written over the previous unpack's."""
-        np.multiply(w, self._unweights, out=self._ext[:-1])
-        np.take(self._ext, self._put, out=self._zu, mode="clip")
-        return self._zu[0], self._zu[1]
+def _decompose(xs: list[np.ndarray], zs: list[np.ndarray]):
+    """(Z^-1, X^(-1/2), Z^(-1/2)) per block; None unless X and Z are positive definite."""
+    ws, x_isq, z_isq = [], [], []
+    for x, z in zip(xs, zs):
+        lx, qx = np.linalg.eigh(x)
+        lz, qz = np.linalg.eigh(z)
+        if not (lx[0] > 0.0 and lz[0] > 0.0):
+            return None
+        ws.append((qz / lz) @ qz.conj().T)
+        x_isq.append((qx / np.sqrt(lx)) @ qx.conj().T)
+        z_isq.append((qz / np.sqrt(lz)) @ qz.conj().T)
+    return ws, x_isq, z_isq
 
 
-class _Anderson:
-    """Safeguarded type-II Anderson acceleration of a fixed-point map F.
-
-    Rows of ``_dg`` and ``_df`` hold, in a ring of ``_AA_MEMORY`` rows, the
-    differences of successive residuals w - F(w) and of successive map values
-    F(w); ``_gram`` is dg dg^T, updated one row per step. While the newest
-    point is an extrapolation, ``_fallback`` holds the plain step it replaced
-    and ``_fallback_norm`` the residual norm that step came from.
-
-    Products with the ring always take all its rows (unused ones are zero or
-    stale, and their results are dropped): OpenBLAS splits a product with
-    several rows between its threads by output entries, but a one-row
-    product is a dot product, which it splits within the sum, so the steps
-    would depend on the thread count. The residual norm uses ``np.einsum``'s
-    own loop for that reason.
-    """
-
-    def __init__(self, size: int) -> None:
-        self._dg = np.zeros((_AA_MEMORY, size))
-        self._df = np.zeros((_AA_MEMORY, size))
-        self._gram = np.zeros((_AA_MEMORY, _AA_MEMORY))
-        self._clear()
-
-    def _clear(self) -> None:
-        self._count = 0
-        self._next = 0
-        self._prev: tuple[np.ndarray, np.ndarray] | None = None
-        self._fallback: np.ndarray | None = None
-        self._fallback_norm = math.inf
-
-    def advance(self, w: np.ndarray, f: np.ndarray, restart: bool) -> np.ndarray:
-        """The point to evaluate after w, given f = F(w).
-
-        If w is an extrapolation whose residual norm exceeds that of the
-        point it came from, it is rejected: the history is cleared and the
-        plain step it replaced is returned. With ``restart`` the history is
-        cleared and the plain step returned. Otherwise the pair is recorded
-        and f - dF^T gamma returned, where gamma minimizes |g - dG^T gamma|
-        (Tikhonov-regularized) for g = w - f; f itself when there is no
-        history yet or the small solve fails, which clears the history.
-        """
-        g = w - f
-        norm = math.sqrt(np.einsum("i,i->", g, g))
-        if self._fallback is not None and norm > self._fallback_norm:
-            plain = self._fallback
-            self._clear()
-            return plain
-        if restart:
-            self._clear()
-            return f
-        self._fallback = None
-        prev, self._prev = self._prev, (g, f)
-        if prev is None:
-            return f
-        j = self._next
-        np.subtract(g, prev[0], out=self._dg[j])
-        np.subtract(f, prev[1], out=self._df[j])
-        self._next = (j + 1) % _AA_MEMORY
-        self._count = c = min(self._count + 1, _AA_MEMORY)
-        gram = self._gram[:c, :c]
-        gram[j] = gram[:, j] = (self._dg @ self._dg[j])[:c]
-        h = gram + (_AA_REG * gram.trace()) * np.eye(c)
-        try:
-            gamma = np.linalg.solve(h, (self._dg @ g)[:c])
-        except np.linalg.LinAlgError:
-            gamma = None
-        if gamma is None or not np.isfinite(gamma).all():
-            self._clear()
-            return f
-        self._fallback, self._fallback_norm = f, norm
-        coef = np.zeros(_AA_MEMORY)
-        coef[:c] = gamma
-        out = coef @ self._df
-        return np.subtract(f, out, out=out)
+def _max_step(inv_sqrt: list[np.ndarray], dx: list[np.ndarray]) -> float:
+    """Largest t with X + t dX PSD, given X^(-1/2) (inf if every t is)."""
+    low = min(float(np.linalg.eigvalsh(q @ d @ q)[0]) for q, d in zip(inv_sqrt, dx))
+    return -1.0 / low if low < 0.0 else math.inf
 
 
 def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) -> SdpSolution:
@@ -335,26 +262,21 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
     B is the M x M Gram matrix ``a`` (from ``build_gram``) bordered by a zero
     row and column for the slack entry, so S and B are (M+1) x (M+1).
 
-    ADMM with over-relaxation: alternate the closed-form affine projection
-    and the eigenvalue-clipping PSD projection, carrying a scaled dual. The
-    penalty parameter self-tunes by residual balancing. Terminates when both
-    the max affine violation of the PSD iterate (plus the splitting gap) and
-    the dual step fall below ``tol``.
+    Primal-dual path following (Helmberg, Rendl, Vanderbei & Wolkowicz
+    1996): HKM direction, Mehrotra predictor-corrector, and the step and
+    centering rules of SDPT3 (Toh, Todd & Tutuncu 1999). It starts from a
+    strictly feasible pair and stops once the affine violations of X and of
+    the dual slack Z = B - A*(y), and the gap <X, Z> relative to
+    1 + |tr(B X)|, are all below ``tol``. Every iterate X is positive
+    definite and ``s_hat`` is the last one.
 
-    The ADMM step is a fixed-point map of the pair (z, u), accelerated by
-    safeguarded type-II Anderson extrapolation over the last ``_AA_MEMORY``
-    steps (Zhang, O'Donoghue & Boyd 2020; see ``_Anderson``). An
-    extrapolated point is kept only if its fixed-point residual is no larger
-    than that of the point it came from; otherwise the loop goes on from the
-    plain step it replaced. The history is cleared then, on every penalty
-    change, and when the small solve fails. ``iterations`` counts PSD
-    projections, rejected extrapolations included, and ``s_hat`` is always
-    a projection's output, never an extrapolated point.
+    ``lower_bound`` is b^T y + (k+1) min(0, lambda_min(B - A*(y))): every
+    feasible S has trace k + 1, so none has a lower objective.
 
     When A is invariant under the QPSK input rotation (see ``_input_orbits``)
-    every iterate is too, so the loop stores one value per orbit of entries
-    and projects three Fourier blocks of size about M/4; the iterates and
-    residuals equal the plain loop's up to rounding.
+    so is the central path, and the loop works on the three Fourier blocks
+    of ``_to_blocks``, of size about M/4; the iterates equal the plain
+    loop's up to rounding.
     """
     check_stopping_rule(tol, max_iter)
     a = np.asarray(a, dtype=np.float64)
@@ -365,54 +287,82 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
         raise ValueError(f"k must be in [2, {m}], got {k}")
 
     b_mat = np.pad(a, (0, 1))
+    if k == m:
+        # The all-ones lift is the only feasible point: there is no interior.
+        s_hat = np.ones((m + 1, m + 1))
+        obj = float((b_mat * s_hat).sum())
+        return SdpSolution(s_hat, obj, 0.0, 0.0, 0, True, obj)
+
     orbits = _input_orbits(a)
     g, r = orbits.shape
-    b_red = _reduce(b_mat, orbits)
+    rt = math.sqrt(r)
+    bs = _to_blocks(_reduce(b_mat, orbits))
+    nb = len(bs)
+    rhs = np.zeros(g + 2)
+    rhs[g:] = 1.0, k + 1.0
 
-    # Start from the covariance of a uniformly random k-subset lift: feasible
-    # for every constraint and PSD.
+    # X: the covariance of a uniformly random k-subset lift, which is
+    # singular, moved inside the cone along 11^T - I on the input block.
     off = k * (k - 1) / (m * (m - 1))
-    z = np.zeros((r, g + 1, g + 1))
-    z[:, :g, :g] = off
-    idx = np.arange(g)
-    z[0, idx, idx] = k / m
-    z[0, :g, g] = k / m
-    z[0, g, :g] = k / m
-    z[0, g, g] = 1.0
-    u = np.zeros_like(z)
+    eps = 0.5 * k * (m - k) / (m * (m - 1))
+    s0 = np.full((m + 1, m + 1), off + eps)
+    np.fill_diagonal(s0, k / m)
+    s0[m, :] = s0[:, m] = k / m
+    s0[m, m] = 1.0
+    xs = _to_blocks(_reduce(s0, orbits))
+    # (y, Z) = (-tau on every multiplier but the corner's, B + tau I).
+    y = np.full(g + 2, -_TAU)
+    y[g] = 0.0
+    zs = [b + _TAU * np.eye(b.shape[0]) for b in bs]
 
-    packing = _Packing(g, r)
-    accel = _Anderson(2 * packing.size)
-    w = packing.pack(z, u)
-    rho = _RHO_INIT
-    primal = dual = math.inf
+    n = m + 1  # sum of the weighted block sizes
+    dec = _decompose(xs, zs)
     iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        x = _affine_project(z - u - b_red / rho, k)
-        x_hat = _ALPHA * x + (1.0 - _ALPHA) * z
-        z_psd = _psd_project(x_hat + u)
-        u += x_hat - z_psd
-        primal = max(
-            _constraint_violation(z_psd, k), float(np.abs(x - z_psd).max())
-        )
-        dual = rho * float(np.abs(z_psd - z).max())
-        if max(primal, dual) < tol:
-            converged = True
+    while True:
+        pobj = _dot(bs, xs)
+        rp = rhs - _constraints(xs, rt)
+        primal = float(np.abs(rp).max())
+        rd = [b - z - az for b, z, az in zip(bs, zs, _adjoint(y, nb, rt))]
+        dual = max(float(np.abs(d).max()) for d in rd)
+        gap = _dot(xs, zs)
+        converged = max(primal, dual, gap / (1.0 + abs(pobj))) < tol
+        if converged or iterations == max_iter or dec is None:
             break
-        scale = 1.0
-        if iterations % 10 == 0:
-            if primal > 10.0 * dual and rho < 1e6:
-                scale = 0.5
-            elif dual > 10.0 * primal and rho > 1e-6:
-                scale = 2.0
-        w = accel.advance(w, packing.pack(z_psd, u), restart=scale != 1.0)
-        if scale != 1.0:
-            rho /= scale
-            w[packing.size :] *= scale  # the scaled dual u
-        z, u = packing.unpack(w)
+        ws, x_isq, z_isq = dec
+        mu = gap / n
+        h = _schur(xs, ws, rt)
+        xrw = [x @ d @ w for x, d, w in zip(xs, rd, ws)]
 
-    s_hat = _expand(z_psd, orbits)
+        def direction(target, extra):
+            # dX = herm(target W - X - X dZ W - extra), with A(dX) = rp.
+            gs = [target * w - x - t - e for x, w, t, e in zip(xs, ws, xrw, extra)]
+            dy = np.linalg.solve(h, rp - _constraints(gs, rt))
+            ady = _adjoint(dy, nb, rt)
+            dz = [d - az for d, az in zip(rd, ady)]
+            dx = [_herm(gb + x @ az @ w) for gb, x, az, w in zip(gs, xs, ady, ws)]
+            return dx, dy, dz
+
+        dx, dy, dz = direction(0.0, [0.0] * nb)
+        step_p = min(1.0, _max_step(x_isq, dx))
+        step_d = min(1.0, _max_step(z_isq, dz))
+        mu_aff = _dot(
+            [x + step_p * d for x, d in zip(xs, dx)], [z + step_d * d for z, d in zip(zs, dz)]
+        ) / n
+        expon = 3.0 if min(step_p, step_d) >= 1.0 / math.sqrt(3.0) else 2.0
+        sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** expon)
+        gamma = 0.9 + 0.09 * min(step_p, step_d)
+        dx, dy, dz = direction(sigma * mu, [p @ q @ w for p, q, w in zip(dx, dz, ws)])
+        step_p = min(1.0, gamma * _max_step(x_isq, dx))
+        step_d = min(1.0, gamma * _max_step(z_isq, dz))
+        new_xs = [x + step_p * d for x, d in zip(xs, dx)]
+        new_zs = [z + step_d * d for z, d in zip(zs, dz)]
+        dec = _decompose(new_xs, new_zs)
+        if dec is not None:  # else rounding has reached the boundary
+            xs, zs, y = new_xs, new_zs, y + step_d * dy
+            iterations += 1
+
+    lam = min(float(np.linalg.eigvalsh(b - az)[0]) for b, az in zip(bs, _adjoint(y, nb, rt)))
+    s_hat = _expand(_from_blocks(xs), orbits)
     return SdpSolution(
         s_hat=s_hat,
         objective=float((b_mat * s_hat).sum()),
@@ -420,6 +370,7 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
         dual_residual=dual,
         iterations=iterations,
         converged=converged,
+        lower_bound=float(rhs @ y) + (k + 1) * min(0.0, lam),
     )
 
 
@@ -492,7 +443,8 @@ class SdpSelectResult:
 
     Derived from ``solution``: ``sdp_objective``, the relaxation's objective,
     and ``sdp_bound_bits``, the cutoff-rate upper bound 2*log2(k) -
-    log2(objective) it gives (inf unless the objective is positive).
+    log2(lower_bound) that its certified lower bound gives (inf unless that
+    bound is positive).
     """
 
     mask: SubsetMask
@@ -506,8 +458,8 @@ class SdpSelectResult:
 
     @property
     def sdp_bound_bits(self) -> float:
-        obj = self.sdp_objective
-        return float(cutoff_bits(self.mask.k, obj)) if obj > 0.0 else math.inf
+        low = self.solution.lower_bound
+        return float(cutoff_bits(self.mask.k, low)) if low > 0.0 else math.inf
 
 
 def sdp_select(

@@ -92,10 +92,12 @@ def _local_search(ch: DmcChannel, sel: np.ndarray) -> tuple[np.ndarray, float, b
         # Highest cost first; position index breaks ties (sel is ascending).
         order = np.lexsort((np.arange(k), -costs))
         outside = np.setdiff1d(all_inputs, sel, assume_unique=True)
+        # A swap ends the pass, so the candidates' rows are fixed within it.
+        candidates = trans[outside]
         improved = False
         for j in order:
             base = np.where(best_rows == j, second, best)
-            new_best = np.maximum(base[None, :], trans[outside])
+            new_best = np.maximum(base[None, :], candidates)
             sers = 1.0 - new_best.sum(axis=1) / k
             c = int(sers.argmin())
             if sers[c] < cur:
@@ -170,7 +172,7 @@ def exhaustive_select(
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     m = ch.num_inputs
     check_exhaustive_size(m, k)
-    rows, fold, finish = rates._COLUMN_SCORERS[criterion](ch)
+    rows, fold, finish, term = rates._COLUMN_SCORERS[criterion](ch)
     # Negation is exact, so maximizing sign * value keeps the values' bits.
     sign = -1.0 if criterion == "ser" else 1.0
     best_val = -math.inf
@@ -189,12 +191,13 @@ def exhaustive_select(
             o, j = owner[s : s + n_sub], after[s : s + n_sub]
             col = partial[o]
             fold(col, rows[j], out=col)
-            idx = np.column_stack((pref[o], j))
-            vals = sign * finish(idx, col)
+            # Only a row term needs the subsets' indices; the rest, only the winner's.
+            row_sum = None if term is None else term[np.column_stack((pref[o], j))].sum(axis=-1)
+            vals = sign * finish(k, col, row_sum)
             i = int(vals.argmax())
             if vals[i] > best_val:
                 best_val = float(vals[i])
-                best_combo = idx[i]
+                best_combo = np.append(pref[o[i]], j[i])
     assert best_combo is not None
     return SubsetMask.from_indices(m, best_combo), sign * best_val
 

@@ -265,6 +265,23 @@ def test_criterion_5_relaxation_bound(desk_instances):
     )
 
 
+def test_certified_bound_below_boolean_minimum(desk_instances):
+    # lower_bound is b^T y at a dual point whose slack's least eigenvalue
+    # enters as a correction, so it can exceed the Boolean minimum only by
+    # rounding: float_slack is about 1,000 ulps of values near 5. It must
+    # also be tight, within 1e-6 of the relaxation's objective at tol 1e-8.
+    float_slack = 1e-12
+    inst = desk_instances["instances"]
+    over = [
+        (i, e["sdp"].solution.lower_bound - e["bool_min"])
+        for i, e in enumerate(inst)
+        if e["sdp"].solution.lower_bound > e["bool_min"] + float_slack
+    ]
+    assert not over
+    worst_gap = max(e["sdp"].sdp_objective - e["sdp"].solution.lower_bound for e in inst)
+    assert worst_gap <= 1e-6
+
+
 def test_criterion_6_criteria_correlation(desk_instances):
     inst = desk_instances["instances"]
     hits = 0

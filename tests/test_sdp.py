@@ -34,7 +34,7 @@ from dmc_shaper import (
 )
 from dmc_shaper import sdp
 from dmc_shaper.mimo import qpsk_rotation
-from dmc_shaper.sdp import SdpSolution, _expand, _input_orbits, _Packing, _quantize_top_k, _reduce
+from dmc_shaper.sdp import SdpSolution, _expand, _input_orbits, _quantize_top_k, _reduce
 
 
 def bsc(p):
@@ -210,56 +210,9 @@ class TestSolveSdp:
             solve_sdp(g, k=2, max_iter=0)
 
 
-class _RecordingAnderson(sdp._Anderson):
-    """Logs what each ``advance`` returned: "P" a plain step, "E" an
-    extrapolation, "R" the plain step an extrapolation was rejected for."""
-
-    log: list[str] = []
-
-    def advance(self, w, f, restart):
-        pending = self._fallback
-        out = super().advance(w, f, restart)
-        if pending is not None and out is pending:
-            self.log.append("R")
-        else:
-            self.log.append("E" if self._fallback is not None else "P")
-        return out
-
-
-@pytest.fixture()
-def recorded_steps(monkeypatch):
-    log: list[str] = []
-    monkeypatch.setattr(_RecordingAnderson, "log", log)
-    monkeypatch.setattr(sdp, "_Anderson", _RecordingAnderson)
-    return log
-
-
 class TestAndersonAcceleration:
-    def test_packing_keeps_frobenius_products(self):
-        rng = np.random.default_rng(64)
-        gains = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) * np.sqrt(0.5)
-        a = build_gram(build_quantized_mimo(ComplexChannelMatrix(gains), SnrPoint.from_db(5.0)))
-        m = a.shape[0]
-        rot = np.append(qpsk_rotation(3), m)
-        for orbits in (_input_orbits(a), np.arange(m)[:, None]):
-            g, r = orbits.shape
-            packing = _Packing(g, r)
-            full = []
-            for _ in range(2):
-                x = rng.standard_normal((m + 1, m + 1))
-                x = x + x.T
-                # Sum over the rotation group: an invariant matrix.
-                turns = [x]
-                for _ in range(3):
-                    turns.append(turns[-1][np.ix_(rot, rot)])
-                full.append(sum(turns))
-            red = [_reduce(x, orbits) for x in full]
-            v1 = packing.pack(red[0], red[1])
-            v2 = packing.pack(red[1], red[0])
-            assert v1 @ v2 == pytest.approx(2.0 * (full[0] * full[1]).sum(), rel=1e-12)
-            z, u = packing.unpack(v1)
-            np.testing.assert_allclose(_expand(z, orbits), full[0], atol=1e-12)
-            np.testing.assert_allclose(_expand(u, orbits), full[1], atol=1e-12)
+    """Iteration count and thread determinism of the solve (the class name
+    is older than its interior-point method and is kept for the test ids)."""
 
     def test_desk21_converges_fast(self):
         # 14,750 iterations without acceleration.
@@ -267,26 +220,6 @@ class TestAndersonAcceleration:
         sol = solve_sdp(g, k=4, tol=1e-8, max_iter=20_000)
         assert sol.converged
         assert sol.iterations < 2_000
-
-    def test_psd_after_accepted_extrapolation(self, recorded_steps):
-        g = build_gram(small_mimo_channel(seed=[9000, 21]))
-        sol = solve_sdp(g, k=4, tol=1e-8, max_iter=20_000)
-        assert sol.converged
-        # The last projection was of an extrapolated point, and it passed.
-        assert recorded_steps[-1] == "E"
-        assert len(recorded_steps) == sol.iterations - 1
-        assert np.linalg.eigvalsh(sol.s_hat).min() >= -1e-12
-        # Stopped by max_iter right after an extrapolation passed the
-        # safeguard: s_hat is still the last projection's output.
-        checked = 0
-        for max_iter in range(3, 40):
-            recorded_steps.clear()
-            sol = solve_sdp(g, k=4, tol=1e-8, max_iter=max_iter)
-            assert len(recorded_steps) == max_iter
-            if recorded_steps[-2:] == ["E", "E"]:
-                checked += 1
-                assert np.linalg.eigvalsh(sol.s_hat).min() >= -1e-12
-        assert checked >= 10
 
     def test_steps_do_not_depend_on_blas_threads(self):
         # The history's dot products are as long as 16,642 entries here, where
@@ -307,18 +240,80 @@ class TestAndersonAcceleration:
             outputs.add(proc.stdout)
         assert len(outputs) == 1
 
-    def test_rejected_extrapolation_counts_toward_max_iter(self, recorded_steps):
+
+class TestInteriorPoint:
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_schur_complement_matches_brute_force(self, r):
+        g = 5
+        rt = math.sqrt(r)
+        rng = np.random.default_rng(r)
+        orbits = np.arange(g * r).reshape(g, r)
+        # An input permutation that turns every orbit, and a matrix invariant
+        # under it: the sum of a random symmetric matrix over the group.
+        turn = np.append(np.roll(orbits, -1, axis=1).ravel(), g * r)
+        x = rng.standard_normal((g * r + 1, g * r + 1))
+        turns = [x + x.T]
+        for _ in range(r - 1):
+            turns.append(turns[-1][np.ix_(turn, turn)])
+        s = sum(turns)
+        blocks = sdp._to_blocks(_reduce(s, orbits))
+        np.testing.assert_allclose(_expand(sdp._from_blocks(blocks), orbits), s, atol=1e-12)
+
+        # A(S) in orbit coordinates: orbit sums of S_ii - S_in, the corner and
+        # the border sum.
+        n = g * r
+        want = [sum(s[i, i] - s[i, n] for i in orbit) for orbit in orbits]
+        want += [s[n, n], s[n].sum()]
+        np.testing.assert_allclose(sdp._constraints(blocks, rt), want, atol=1e-12)
+
+        def pd(size, dtype):
+            a = rng.standard_normal((size, size)).astype(dtype)
+            if dtype == complex:
+                a += 1j * rng.standard_normal((size, size))
+            return a @ a.conj().T + np.eye(size)
+
+        dtypes = [float, float, complex][: len(blocks)]
+        xs = [pd(b.shape[0], t) for b, t in zip(blocks, dtypes)]
+        ws = [pd(b.shape[0], t) for b, t in zip(blocks, dtypes)]
+        basis = [sdp._adjoint(e, len(blocks), rt) for e in np.eye(g + 2)]
+        y = rng.standard_normal(g + 2)
+        assert sdp._dot(sdp._adjoint(y, len(blocks), rt), xs) == pytest.approx(
+            y @ sdp._constraints(xs, rt), rel=1e-12
+        )
+        brute = np.array(
+            [
+                [
+                    sum(
+                        w * np.trace(ap @ x @ aq @ v).real
+                        for ap, aq, x, v, w in zip(bp, bq, xs, ws, sdp._WEIGHTS)
+                    )
+                    for bq in basis
+                ]
+                for bp in basis
+            ]
+        )
+        h = sdp._schur(xs, ws, rt)
+        assert np.abs(h - brute).max() <= 1e-13 * np.abs(brute).max()
+
+    def test_every_iteration_budget_stops_psd(self):
+        # With tol out of reach the loop runs until rounding leaves it no
+        # interior step; every shorter budget is spent in full.
         g = build_gram(small_mimo_channel(seed=[9000, 21]))
-        solve_sdp(g, k=4, tol=1e-8, max_iter=20_000)
-        first = recorded_steps.index("R") + 1
-        for max_iter in (first, first + 1):
-            recorded_steps.clear()
-            sol = solve_sdp(g, k=4, tol=1e-8, max_iter=max_iter)
-            assert "R" in recorded_steps
+        free = solve_sdp(g, k=4, tol=1e-15, max_iter=1000)
+        assert not free.converged and 10 < free.iterations < 1000
+        for max_iter in range(1, 41):
+            sol = solve_sdp(g, k=4, tol=1e-15, max_iter=max_iter)
             assert not sol.converged
-            assert sol.iterations == max_iter
-            assert len(recorded_steps) == max_iter
+            assert sol.iterations == min(max_iter, free.iterations)
             assert np.linalg.eigvalsh(sol.s_hat).min() >= -1e-12
+            assert sol.lower_bound <= sol.objective
+
+    def test_full_set_returns_forced_lift(self):
+        g = build_gram(random_channel(6, 4, seed=7))
+        sol = solve_sdp(g, k=6)
+        np.testing.assert_array_equal(sol.s_hat, np.ones((7, 7)))
+        assert sol.converged and sol.iterations == 0
+        assert sol.objective == sol.lower_bound == pytest.approx(g.sum(), rel=1e-15)
 
 
 class TestPsdFactorize:
