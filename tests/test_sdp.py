@@ -210,6 +210,16 @@ class TestSolveSdp:
             solve_sdp(g, k=2, max_iter=0)
 
 
+@pytest.fixture(scope="module")
+def budget_stops():
+    """Desk 21 solved with tol out of reach: once with a loose budget, where
+    the loop runs until rounding leaves it no interior step, and once for
+    every max_iter in 1..40."""
+    g = build_gram(small_mimo_channel(seed=[9000, 21]))
+    free = solve_sdp(g, k=4, tol=1e-15, max_iter=1000)
+    return free, {n: solve_sdp(g, k=4, tol=1e-15, max_iter=n) for n in range(1, 41)}
+
+
 class TestAndersonAcceleration:
     """Iteration count and thread determinism of the solve (the class name
     is older than its interior-point method and is kept for the test ids)."""
@@ -220,6 +230,23 @@ class TestAndersonAcceleration:
         sol = solve_sdp(g, k=4, tol=1e-8, max_iter=20_000)
         assert sol.converged
         assert sol.iterations < 2_000
+
+    def test_psd_after_accepted_extrapolation(self, budget_stops):
+        # Wherever the budget cuts the loop, s_hat is the last accepted
+        # iterate: PSD, with the certified bound below its objective.
+        _, stopped = budget_stops
+        for sol in stopped.values():
+            assert np.linalg.eigvalsh(sol.s_hat).min() >= -1e-12
+            assert sol.lower_bound <= sol.objective
+
+    def test_rejected_extrapolation_counts_toward_max_iter(self, budget_stops):
+        # Every step counts toward max_iter: each shorter budget is spent in
+        # full, and a longer one stops where the free run stopped.
+        free, stopped = budget_stops
+        assert not free.converged and 10 < free.iterations < 1000
+        for max_iter, sol in stopped.items():
+            assert not sol.converged
+            assert sol.iterations == min(max_iter, free.iterations)
 
     def test_steps_do_not_depend_on_blas_threads(self):
         # The history's dot products are as long as 16,642 entries here, where
@@ -294,19 +321,6 @@ class TestInteriorPoint:
         )
         h = sdp._schur(xs, ws, rt)
         assert np.abs(h - brute).max() <= 1e-13 * np.abs(brute).max()
-
-    def test_every_iteration_budget_stops_psd(self):
-        # With tol out of reach the loop runs until rounding leaves it no
-        # interior step; every shorter budget is spent in full.
-        g = build_gram(small_mimo_channel(seed=[9000, 21]))
-        free = solve_sdp(g, k=4, tol=1e-15, max_iter=1000)
-        assert not free.converged and 10 < free.iterations < 1000
-        for max_iter in range(1, 41):
-            sol = solve_sdp(g, k=4, tol=1e-15, max_iter=max_iter)
-            assert not sol.converged
-            assert sol.iterations == min(max_iter, free.iterations)
-            assert np.linalg.eigvalsh(sol.s_hat).min() >= -1e-12
-            assert sol.lower_bound <= sol.objective
 
     def test_full_set_returns_forced_lift(self):
         g = build_gram(random_channel(6, 4, seed=7))
