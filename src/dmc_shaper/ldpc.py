@@ -163,7 +163,7 @@ def _systematic_generator(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if row < m:
         raise RankDeficientError(f"parity matrix rank {row} < {m}")
     piv = np.asarray(pivot_cols, dtype=np.intp)
-    msg = np.setdiff1d(np.arange(n), piv, assume_unique=True)
+    msg = np.delete(np.arange(n), piv)
     k = msg.shape[0]
     gen = np.zeros((k, n), dtype=np.uint8)
     gen[np.arange(k), msg] = 1

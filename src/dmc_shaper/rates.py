@@ -11,6 +11,9 @@ returns one value per row; the scalar functions call it on ``mask.indices``.
 Rate, cutoff rate and SER each fold the subset's rows into a column
 aggregate (sum, sum of square roots, maximum) and finish from it; exhaustive
 search builds the same aggregate one row at a time and calls the same finish.
+The per-input misdetection costs have one formula too, ``_column_state``, which
+also gives each output's best and second-best selected row; binary switching
+reads it once per pass and scores each swap with the SER fold and finish.
 The rate is log2 K + (sum_{x in S} r(x) - sum_y d(y) ln d(y)) / (K ln 2) with
 the row term r(x) = sum_y P(y|x) ln P(y|x) and d(y) = sum_{x in S} P(y|x).
 
@@ -97,6 +100,25 @@ def _ser_parts(ch: DmcChannel):
     return ch.trans, np.maximum, finish, None
 
 
+def _column_state(ch: DmcChannel, idx: np.ndarray):
+    """ML decision state of one subset, ``idx`` a vector of ascending inputs:
+    each output's owner (position of its first most likely row), best and
+    second-best P(y|x), and each row's misdetection cost, its mass P(y|x_j) on
+    outputs owned by another row (so tied mass counts against later rows)."""
+    sub = ch.trans[idx]
+    cols = np.arange(sub.shape[1])
+    owner = sub.argmax(axis=0)
+    best = sub[owner, cols]
+    # Masking the owners is several times faster than np.partition on axis 0.
+    rest = sub.copy()
+    rest[owner, cols] = -np.inf
+    second = rest.max(axis=0)
+    # bincount sums each input's owned mass in output order, as np.add.at
+    # would; another order moves the last bits and reorders near-tied costs.
+    costs = sub.sum(axis=1) - np.bincount(owner, weights=best, minlength=len(idx))
+    return owner, best, second, costs
+
+
 # Criterion -> parts(ch) = (rows, fold, finish, term). A subset's score is
 # finish(K, fold.reduce(rows[idx], axis=-2), term[idx].sum(axis=-1)), with
 # None for the last argument when term is None; numpy folds axis -2 row after
@@ -123,23 +145,6 @@ def batch_cutoff_rate(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
 def batch_ser(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
     """ML symbol error rate of each subset in a (..., K) stack."""
     return _score(_ser_parts(ch), idx)
-
-
-def batch_misdetect(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:
-    """Per-input ML misdetection cost of each subset in a (..., K) stack.
-
-    Entry [..., j] is the mass P(y|x_j) summed over outputs won by another
-    input of the same subset. Argmax ties go to the smallest index, so their
-    mass counts against every later tied input.
-    """
-    sub = ch.trans[idx]
-    k, l = sub.shape[-2:]
-    flat = sub.reshape(-1, k, l)
-    won = np.zeros((flat.shape[0], k))
-    # add.at sums in output order; a masked pairwise sum moves the last bits,
-    # which reorders near-tied costs in bsa_select's swap order.
-    np.add.at(won, (np.arange(flat.shape[0])[:, None], flat.argmax(axis=1)), flat.max(axis=1))
-    return (flat.sum(axis=2) - won).reshape(sub.shape[:-1])
 
 
 def uniform_subset_rate(ch: DmcChannel, mask: SubsetMask) -> float:

@@ -57,6 +57,8 @@ class BsaResult:
 
 def check_bsa_size(m: int, k: int) -> None:
     """Raise ValueError unless switching search can pick k of m inputs."""
+    if m < 3:
+        raise ValueError(f"binary switching needs at least 3 inputs, got {m}")
     if not (2 <= k < m):
         raise ValueError(f"k must be in [2, {m - 1}], got {k}")
 
@@ -72,45 +74,33 @@ def check_exhaustive_size(m: int, k: int) -> None:
         )
 
 
-def _local_search(ch: DmcChannel, sel: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Run switching passes from the given subset until no swap improves, or
-    ``_MAX_PASSES`` passes have run (reported as truncated)."""
-    trans = ch.trans
-    m = trans.shape[0]
-    k = sel.shape[0]
-    all_inputs = np.arange(m)
+def _local_search(
+    ch: DmcChannel, inside: np.ndarray, cur: float
+) -> tuple[np.ndarray, float, bool]:
+    """Run switching passes on the membership vector ``inside``, whose subset
+    has SER ``cur``, until no swap improves, or ``_MAX_PASSES`` passes have
+    run (reported as truncated). Updates ``inside`` in place."""
+    rows, fold, finish, _ = rates._ser_parts(ch)
     passes = 0
-    sub = trans[sel]
-    cur = float(rates.batch_ser(ch, sel))
     while True:
-        best_rows = sub.argmax(axis=0)
-        best = sub[best_rows, np.arange(sub.shape[1])]
-        masked = sub.copy()
-        masked[best_rows, np.arange(sub.shape[1])] = -np.inf
-        second = masked.max(axis=0)
-        costs = rates.batch_misdetect(ch, sel)
-        # Highest cost first; position index breaks ties (sel is ascending).
-        order = np.lexsort((np.arange(k), -costs))
-        outside = np.setdiff1d(all_inputs, sel, assume_unique=True)
+        sel, outside = np.flatnonzero(inside), np.flatnonzero(~inside)
+        owner, best, second, costs = rates._column_state(ch, sel)
         # A swap ends the pass, so the candidates' rows are fixed within it.
-        candidates = trans[outside]
-        improved = False
-        for j in order:
-            base = np.where(best_rows == j, second, best)
-            new_best = np.maximum(base[None, :], candidates)
-            sers = 1.0 - new_best.sum(axis=1) / k
+        candidates = rows[outside]
+        # Highest cost first; position index breaks ties (sel is ascending).
+        for j in np.lexsort((np.arange(sel.size), -costs)):
+            sers = finish(sel.size, fold(np.where(owner == j, second, best), candidates), None)
             c = int(sers.argmin())
             if sers[c] < cur:
-                sel = np.sort(np.concatenate((np.delete(sel, j), outside[c : c + 1])))
-                sub = trans[sel]
+                inside[sel[j]] = False
+                inside[outside[c]] = True
                 cur = float(sers[c])
-                improved = True
                 break
-        if not improved:
+        else:
             return sel, cur, False
         passes += 1
         if passes >= _MAX_PASSES:
-            return sel, cur, True
+            return np.flatnonzero(inside), cur, True
 
 
 def bsa_select(ch: DmcChannel, cfg: BsaConfig) -> BsaResult:
@@ -129,9 +119,10 @@ def bsa_select(ch: DmcChannel, cfg: BsaConfig) -> BsaResult:
     final: list[float] = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.rng_seed, restart])
-        sel = np.sort(rng.choice(m, size=cfg.k, replace=False))
-        initial.append(float(rates.batch_ser(ch, sel)))
-        sel, ser, trunc = _local_search(ch, sel)
+        inside = np.zeros(m, dtype=bool)
+        inside[rng.choice(m, size=cfg.k, replace=False)] = True
+        initial.append(float(rates.batch_ser(ch, np.flatnonzero(inside))))
+        sel, ser, trunc = _local_search(ch, inside, initial[-1])
         final.append(ser)
         truncated = truncated or trunc
         if ser < best_ser:

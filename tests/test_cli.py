@@ -284,9 +284,10 @@ class TestSweep:
         lines = out.strip().split("\n")
         header = lines[1].split(",")
         row = dict(zip(header, map(float, lines[2].split(","))))
-        assert row["cutoff_k4_exhaustive"] >= row["cutoff_k4_sdp"] - 1e-12
-        assert row["ser_k4_exhaustive"] <= row["ser_k4_bsa"] + 1e-12
-        assert row["rate_k4_exhaustive"] >= max(row["rate_k4_sdp"], row["rate_k4_bsa"]) - 1e-12
+        # One kernel scores every method's mask, so the optimum dominates exactly.
+        assert row["cutoff_k4_exhaustive"] >= row["cutoff_k4_sdp"]
+        assert row["ser_k4_exhaustive"] <= row["ser_k4_bsa"]
+        assert row["rate_k4_exhaustive"] >= max(row["rate_k4_sdp"], row["rate_k4_bsa"])
 
     def test_reproducible(self, capsys, h_file):
         args = ["sweep", "--h-matrix", h_file, "--snr-db", "5", "--k", "4",

@@ -198,7 +198,7 @@ class TestUncodedMonteCarlo:
         mask = SubsetMask.from_indices(16, [0, 3, 8, 12])
         sel = mask.indices
         table = enumerate_qpsk_inputs(2)
-        costs = rates.batch_misdetect(ch, mask.indices)
+        costs = rates._column_state(ch, mask.indices)[3]
         n = 60_000
         rng = np.random.default_rng(999)
         for r in range(4):

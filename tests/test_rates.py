@@ -48,6 +48,11 @@ def random_mask(m, k, seed):
     return SubsetMask.from_indices(m, rng.choice(m, size=k, replace=False))
 
 
+def misdetect(ch, idx):
+    """Per-input misdetection costs of one subset."""
+    return rates._column_state(ch, idx)[3]
+
+
 class TestMutualInformation:
     def test_noiseless_identity(self):
         ch = DmcChannel.from_probs(np.eye(4))
@@ -123,26 +128,44 @@ class TestPerSymbolMisdetect:
     def test_noiseless_all_zero(self):
         ch = DmcChannel.from_probs(np.eye(4))
         np.testing.assert_allclose(
-            rates.batch_misdetect(ch, SubsetMask.full(4).indices), 0.0, atol=0
+            misdetect(ch, SubsetMask.full(4).indices), 0.0, atol=0
         )
 
     def test_tie_break_toward_smallest_index(self):
         ch = DmcChannel.from_probs(np.tile([0.5, 0.5], (2, 1)))
         np.testing.assert_allclose(
-            rates.batch_misdetect(ch, SubsetMask.full(2).indices), [0.0, 1.0]
+            misdetect(ch, SubsetMask.full(2).indices), [0.0, 1.0]
         )
 
     def test_bsc_value(self):
         np.testing.assert_allclose(
-            rates.batch_misdetect(bsc(0.1), SubsetMask.full(2).indices), [0.1, 0.1]
+            misdetect(bsc(0.1), SubsetMask.full(2).indices), [0.1, 0.1]
         )
 
     def test_mean_equals_ser_without_ties(self):
         for seed in range(10):
             ch = random_channel(9, 6, seed)
             mask = random_mask(9, 4, seed + 7)
-            costs = rates.batch_misdetect(ch, mask.indices)
+            costs = misdetect(ch, mask.indices)
             assert costs.mean() == pytest.approx(ser_ml(ch, mask), abs=1e-12)
+
+    def test_costs_sum_owned_mass_in_output_order(self):
+        # Bit for bit the np.add.at sum over outputs in order: a pairwise sum
+        # moves the last bits, which reorders near-tied costs in bsa_select.
+        for seed in range(10):
+            ch = random_channel(9, 40, seed)
+            sel = random_mask(9, 5, seed + 3).indices
+            sub = ch.trans[sel]
+            won = np.zeros(5)
+            np.add.at(won, sub.argmax(axis=0), sub.max(axis=0))
+            np.testing.assert_array_equal(misdetect(ch, sel), sub.sum(axis=1) - won)
+
+    def test_column_state_ties(self):
+        p = np.array([[0.5, 0.3, 0.2], [0.5, 0.1, 0.4], [0.2, 0.3, 0.5]])
+        owner, best, second, _ = rates._column_state(DmcChannel.from_probs(p), np.arange(3))
+        np.testing.assert_array_equal(owner, [0, 0, 2])
+        np.testing.assert_array_equal(best, [0.5, 0.3, 0.5])
+        np.testing.assert_array_equal(second, [0.5, 0.3, 0.4])
 
 
 class TestCutoffRate:
@@ -191,8 +214,8 @@ class TestOrderingInvariants:
             uniform_subset_rate(ch_perm, mask_perm), abs=1e-12
         )
         # Misdetection costs permute with the rows.
-        got = rates.batch_misdetect(ch_perm, mask_perm.indices)
-        want = rates.batch_misdetect(ch, mask.indices)
+        got = misdetect(ch_perm, mask_perm.indices)
+        want = misdetect(ch, mask.indices)
         order_old = mask.indices
         order_new = perm[perm_positions]
         lookup = {int(x): w for x, w in zip(order_old, want)}
@@ -252,7 +275,7 @@ class TestBatchKernels:
             rates.batch_rate(ch, idx),
             rates.batch_cutoff_rate(ch, idx),
             rates.batch_ser(ch, idx),
-            rates.batch_misdetect(ch, idx),
+            np.array([misdetect(ch, sel) for sel in idx]),
         )
         assert [g.shape for g in got] == [(n,), (n,), (n,), (n, k)]
         for row, sel in enumerate(idx):

@@ -30,9 +30,9 @@ def random_channel(m, l, seed):
     return DmcChannel.from_probs(rng.dirichlet(np.ones(l), size=m))
 
 
-def small_mimo_channel(seed, snr_db=10.0):
+def small_mimo_channel(seed, snr_db=10.0, n=2):
     rng = np.random.default_rng(seed)
-    gains = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * np.sqrt(0.5)
+    gains = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * np.sqrt(0.5)
     return build_quantized_mimo(ComplexChannelMatrix(gains), SnrPoint.from_db(snr_db))
 
 
@@ -227,3 +227,62 @@ class TestBsaSelect:
         ch = random_channel(4, 4, seed=0)
         with pytest.raises(ValueError):
             bsa_select(ch, BsaConfig(k=4, restarts=1, rng_seed=0))
+        with pytest.raises(ValueError, match="at least 3 inputs, got 2"):
+            bsa_select(random_channel(2, 4, seed=0), BsaConfig(k=2, restarts=1, rng_seed=0))
+
+
+def reference_bsa(ch, cfg):
+    """Binary switching written out plainly: misdetection costs summed with
+    np.add.at, every candidate swap scored by rates.batch_ser on the swapped,
+    sorted index row. Returns the BsaResult fields in declaration order."""
+    m, k = ch.num_inputs, cfg.k
+    best_sel, best_ser, truncated = None, math.inf, False
+    initial, final = [], []
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.rng_seed, restart])
+        sel = np.sort(rng.choice(m, size=k, replace=False))
+        cur = float(rates.batch_ser(ch, sel))
+        initial.append(cur)
+        passes = 0
+        while True:
+            sub = ch.trans[sel]
+            won = np.zeros(k)
+            np.add.at(won, sub.argmax(axis=0), sub.max(axis=0))
+            costs = sub.sum(axis=1) - won
+            outside = [x for x in range(m) if x not in sel]
+            for j in np.lexsort((np.arange(k), -costs)):
+                swapped = np.sort([np.append(np.delete(sel, j), x) for x in outside], axis=1)
+                sers = rates.batch_ser(ch, swapped)
+                c = int(sers.argmin())
+                if sers[c] < cur:
+                    sel, cur = swapped[c], float(sers[c])
+                    break
+            else:
+                break
+            passes += 1
+            if passes >= subset_search._MAX_PASSES:
+                truncated = True
+                break
+        final.append(cur)
+        if cur < best_ser:
+            best_sel, best_ser = sel, cur
+    return best_sel.tolist(), best_ser, truncated, tuple(initial), tuple(final)
+
+
+class TestBsaMatchesReference:
+    """bsa_select must return every field of the plain reference, bit for bit."""
+
+    @pytest.mark.parametrize("max_passes", [None, 1, 2])
+    def test_fields_equal(self, monkeypatch, max_passes):
+        if max_passes is not None:
+            monkeypatch.setattr(subset_search, "_MAX_PASSES", max_passes)
+        cases = [(small_mimo_channel(seed=s), k, s) for s in (50, 51, 52) for k in (3, 4, 8)]
+        cases += [(small_mimo_channel(seed=s, n=3), k, s) for s in (53, 54) for k in (4, 12)]
+        cases += [(duplicated_rows_channel(), k, s) for s in (0, 1) for k in (2, 3, 4)]
+        for ch, k, seed in cases:
+            cfg = BsaConfig(k=k, restarts=6, rng_seed=seed)
+            res = bsa_select(ch, cfg)
+            got = (
+                res.mask.indices.tolist(), res.ser, res.truncated, res.initial_sers, res.final_sers
+            )
+            assert got == reference_bsa(ch, cfg), (ch.num_inputs, k, seed)
