@@ -18,6 +18,7 @@ LLR_CLIP = 40.0
 # tanh(LLR_CLIP / 2) rounds to 1.0; clip inside the open interval instead.
 _TANH_LIMIT = 1.0 - 1e-15
 _COL_WEIGHT = 3  # checks per code bit in ``build_ldpc``
+BP_MAX_ITER = 100  # flooding iterations before a frame stops unconverged
 
 
 @dataclass(eq=False)
@@ -211,7 +212,7 @@ class BpBatchResult:
     iterations: np.ndarray  # (B,) int64
 
 
-def bp_decode(code: LdpcCode, llrs: np.ndarray, max_iter: int = 100) -> BpResult:
+def bp_decode(code: LdpcCode, llrs: np.ndarray) -> BpResult:
     """Flooding sum-product decoding of one frame of bit-1 log-odds.
 
     The one-frame view of ``bp_decode_batch``, which documents the schedule
@@ -220,15 +221,13 @@ def bp_decode(code: LdpcCode, llrs: np.ndarray, max_iter: int = 100) -> BpResult
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.shape != (code.n,):
         raise ValueError(f"need {code.n} LLRs, got {llrs.shape}")
-    res = bp_decode_batch(code, llrs[None, :], max_iter=max_iter)
+    res = bp_decode_batch(code, llrs[None, :])
     return BpResult(
         bits=res.bits[0], converged=bool(res.converged[0]), iterations=int(res.iterations[0])
     )
 
 
-def bp_decode_batch(
-    code: LdpcCode, llrs: np.ndarray, max_iter: int = 100
-) -> BpBatchResult:
+def bp_decode_batch(code: LdpcCode, llrs: np.ndarray) -> BpBatchResult:
     """Flooding sum-product decoding of a (B, n) array of bit-1 log-odds.
 
     Each row is one frame. A frame converges when every parity check is
@@ -256,10 +255,10 @@ def bp_decode_batch(
     lam = -llrs.T
     bits = (llrs > 0.0).astype(np.uint8)
     converged = np.zeros(llrs.shape[0], dtype=bool)
-    iterations = np.full(llrs.shape[0], max_iter, dtype=np.int64)
+    iterations = np.full(llrs.shape[0], BP_MAX_ITER, dtype=np.int64)
     live = np.arange(llrs.shape[0])  # batch row of each working column
     var_to_chk = lam[var]
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, BP_MAX_ITER + 1):
         frames = live.shape[0]
         # Edge arrays end in a pad row: 1 under products, 0 under sums.
         t = np.empty((n_edges + 1, frames))

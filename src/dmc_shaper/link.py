@@ -67,7 +67,10 @@ def map_bits(codebits: np.ndarray, lab: SymbolLabeling) -> tuple[np.ndarray, int
 
     Returns (global input indices, number of zero pad bits appended).
     """
-    bits = np.asarray(codebits, dtype=np.uint8).ravel()
+    raw = np.asarray(codebits).ravel()
+    if not np.isin(raw, (0, 1)).all():
+        raise ValueError("code bits must be 0 or 1")
+    bits = raw.astype(np.uint8)
     q = lab.bits_per_symbol
     n_pad = (-bits.shape[0]) % q
     if n_pad:
@@ -87,6 +90,8 @@ def compute_llrs_block(
     yield zero LLRs (with a warning).
     """
     y = np.asarray(y_indices, dtype=np.intp)
+    if y.size and not (0 <= y.min() and y.max() < ch.num_outputs):
+        raise ValueError(f"output indices must be in [0, {ch.num_outputs})")
     log_p = ch.log_trans[np.ix_(lab.selected, y)].T  # (n_uses, K)
     bits = lab.label_bits()
     q = lab.bits_per_symbol

@@ -33,7 +33,7 @@ class SdpSolution:
     ``s_hat`` is PSD (positive definite unless k = M); the affine
     constraints hold up to ``primal_residual``. ``lower_bound`` is a
     certified lower bound on the relaxation's optimum, so on b^T A b for
-    every k-subset; -inf when none was computed.
+    every k-subset.
     """
 
     s_hat: np.ndarray
@@ -42,7 +42,7 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     converged: bool
-    lower_bound: float = -math.inf
+    lower_bound: float
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def build_gram(ch: DmcChannel) -> np.ndarray:
     return a
 
 
-# Orbit coordinates pay off from this M on: on a 2-core x86 box, the
+# The Fourier blocks pay off from this M on: on a 2-core x86 box, the
 # interior-point loop took 0.43-0.51 ms per iteration plain and 0.60-0.72
 # ms on the Fourier blocks at M = 16 (the 50 desk solves), 2.7-3.8 against
 # 1.1-1.3 ms at M = 64 and 43-46 against 9.8-10.3 ms at M = 256, in the same
@@ -98,81 +98,53 @@ def _input_orbits(a: np.ndarray) -> np.ndarray:
     return orbits[orbits.min(axis=1) == orbits[:, 0]]
 
 
-def _reduce(mat: np.ndarray, orbits: np.ndarray) -> np.ndarray:
-    """Orbit coordinates (r, g+1, g+1) of an invariant (M+1) x (M+1) matrix.
-
-    Block d holds c[d][o, o'] = S[(o, a), (o', a + d)]; the border s[o] =
-    S[(o, a), M] and the corner t = S[M, M] sit in row and column g of block
-    0, and the borders of the other blocks are zero. With r = 1 this is the
-    matrix itself.
-    """
-    g, r = orbits.shape
-    m = mat.shape[0] - 1
-    rows = np.append(orbits[:, 0], m)
-    out = np.zeros((r, g + 1, g + 1))
-    out[0] = mat[np.ix_(rows, rows)]
-    for d in range(1, r):
-        out[d, :g, :g] = mat[np.ix_(orbits[:, 0], orbits[:, d])]
-    return out
-
-
-def _expand(x: np.ndarray, orbits: np.ndarray) -> np.ndarray:
-    """Inverse of ``_reduce``: the full matrix in the original input order."""
-    g, r = orbits.shape
-    m = g * r
-    out = np.empty((m + 1, m + 1))
-    for a in range(r):
-        for d in range(r):
-            out[np.ix_(orbits[:, a], orbits[:, (a + d) % r])] = x[d, :g, :g]
-        out[orbits[:, a], m] = x[0, :g, g]
-        out[m, orbits[:, a]] = x[0, g, :g]
-    out[m, m] = x[0, g, g]
-    return out
-
-
 _WEIGHTS = (1.0, 1.0, 2.0)  # block 1 also stands for its conjugate, block 3
 
 
-def _to_blocks(x: np.ndarray) -> list[np.ndarray]:
-    """Fourier blocks of orbit coordinates; the full matrix is PSD iff they are.
+def _to_blocks(mat: np.ndarray, orbits: np.ndarray) -> list[np.ndarray]:
+    """Fourier blocks of an invariant (M+1) x (M+1) matrix; it is PSD iff they are.
 
-    A length-4 DFT over d block-diagonalizes the invariant matrix: frequency
-    0 is the real block sum_d c[d] bordered by 2s and t, frequency 2 the real
-    block sum_d (-1)^d c[d], frequency 1 the Hermitian block
-    (c[0] - c[2]) + j (c[1] - c[3]), and frequency 3 its conjugate, which
-    block 1's weight in ``_WEIGHTS`` stands for. Frobenius products of full
-    matrices are the weighted sums of block products. With r = 1 the one
-    block is the matrix itself.
+    With input (o, a) the a-th member of orbit o, the matrix is fixed by
+    c[d][o, o'] = S[(o, a), (o', a + d)], the border s[o] = S[(o, a), M] and
+    the corner t = S[M, M]. A length-4 DFT over d block-diagonalizes it:
+    frequency 0 is the real block sum_d c[d] bordered by 2s and t,
+    frequency 2 the real block sum_d (-1)^d c[d], frequency 1 the Hermitian
+    block (c[0] - c[2]) + j (c[1] - c[3]), and frequency 3 its conjugate,
+    which block 1's weight in ``_WEIGHTS`` stands for. Frobenius products of
+    full matrices are the weighted sums of block products. With r = 1 the
+    one block is the matrix itself.
     """
-    r, n, _ = x.shape
+    g, r = orbits.shape
     if r == 1:
-        return [x[0]]
-    g = n - 1
-    c = x[:, :g, :g]
-    f0 = x.sum(axis=0)
+        return [mat]
+    c = [mat[np.ix_(orbits[:, 0], orbits[:, d])] for d in range(r)]
+    rows = np.append(orbits[:, 0], g * r)
+    f0 = mat[np.ix_(rows, rows)]
+    f0[:g, :g] = c[0] + c[1] + c[2] + c[3]
     f0[:g, g] *= 2.0
     f0[g, :g] *= 2.0
     return [f0, c[0] - c[1] + c[2] - c[3], (c[0] - c[2]) + 1j * (c[1] - c[3])]
 
 
-def _from_blocks(blocks: list[np.ndarray]) -> np.ndarray:
-    """Inverse of ``_to_blocks``: orbit coordinates of the Fourier blocks."""
-    if len(blocks) == 1:
-        return blocks[0][None]
+def _to_full(blocks: list[np.ndarray], orbits: np.ndarray) -> np.ndarray:
+    """Inverse of ``_to_blocks``: the full matrix in the original input order."""
+    g, r = orbits.shape
+    if r == 1:
+        return blocks[0]
     p0, p2, p1 = blocks
-    g = p2.shape[0]
     even = (p0[:g, :g] + p2) / 4.0
     odd = (p0[:g, :g] - p2) / 4.0
     re = p1.real / 2.0
     im = p1.imag / 2.0
-    out = np.zeros((4, g + 1, g + 1))
-    out[0, :g, :g] = even + re
-    out[1, :g, :g] = odd + im
-    out[2, :g, :g] = even - re
-    out[3, :g, :g] = odd - im
-    out[0, :g, g] = p0[:g, g] / 2.0
-    out[0, g, :g] = p0[g, :g] / 2.0
-    out[0, g, g] = p0[g, g]
+    c = [even + re, odd + im, even - re, odd - im]
+    m = g * r
+    out = np.empty((m + 1, m + 1))
+    for a in range(r):
+        for d in range(r):
+            out[np.ix_(orbits[:, a], orbits[:, (a + d) % r])] = c[d]
+        out[orbits[:, a], m] = p0[:g, g] / 2.0
+        out[m, orbits[:, a]] = p0[g, :g] / 2.0
+    out[m, m] = p0[g, g]
     return out
 
 
@@ -296,7 +268,7 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
     orbits = _input_orbits(a)
     g, r = orbits.shape
     rt = math.sqrt(r)
-    bs = _to_blocks(_reduce(b_mat, orbits))
+    bs = _to_blocks(b_mat, orbits)
     nb = len(bs)
     rhs = np.zeros(g + 2)
     rhs[g:] = 1.0, k + 1.0
@@ -309,7 +281,7 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
     np.fill_diagonal(s0, k / m)
     s0[m, :] = s0[:, m] = k / m
     s0[m, m] = 1.0
-    xs = _to_blocks(_reduce(s0, orbits))
+    xs = _to_blocks(s0, orbits)
     # (y, Z) = (-tau on every multiplier but the corner's, B + tau I).
     y = np.full(g + 2, -_TAU)
     y[g] = 0.0
@@ -362,7 +334,7 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
             iterations += 1
 
     lam = min(float(np.linalg.eigvalsh(b - az)[0]) for b, az in zip(bs, _adjoint(y, nb, rt)))
-    s_hat = _expand(_from_blocks(xs), orbits)
+    s_hat = _to_full(xs, orbits)
     return SdpSolution(
         s_hat=s_hat,
         objective=float((b_mat * s_hat).sum()),
@@ -419,6 +391,8 @@ def round_solution(
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (m, m):
         raise ValueError(f"Gram matrix must be {m} x {m} for {n} factor columns, got {a.shape}")
+    if not (2 <= k <= m):
+        raise ValueError(f"k must be in [2, {m}], got {k}")
 
     best_idx: np.ndarray | None = None
     best_obj = math.inf

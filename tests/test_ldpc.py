@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dmc_shaper import LdpcCode, bp_decode, build_ldpc
-from dmc_shaper.ldpc import RankDeficientError, bp_decode_batch
+from dmc_shaper.ldpc import BP_MAX_ITER, RankDeficientError, bp_decode_batch
 
 
 class TestBuildLdpc:
@@ -162,9 +162,9 @@ class TestBpDecode:
 
     def test_all_zero_llrs_do_not_converge(self):
         code = build_ldpc(30, 0.5, seed=22)
-        res = bp_decode(code, np.zeros(code.n), max_iter=15)
+        res = bp_decode(code, np.zeros(code.n))
         assert not res.converged
-        assert res.iterations == 15
+        assert res.iterations == BP_MAX_ITER
 
     @pytest.mark.parametrize("with_zero_row", [False, True], ids=["nonzero", "zero-row"])
     def test_batch_rows_match_lone_decodes(self, with_zero_row):
@@ -178,11 +178,11 @@ class TestBpDecode:
         llrs = 2.0 * sign + sigmas[:, None] * rng.standard_normal((12, code.n))
         if with_zero_row:
             llrs[5] = 0.0
-        batch = bp_decode_batch(code, llrs, max_iter=20)
-        lone = [bp_decode(code, row, max_iter=20) for row in llrs]
+        batch = bp_decode_batch(code, llrs)
+        lone = [bp_decode(code, row) for row in llrs]
         iters = {r.iterations for r in lone if r.converged}
         assert len(iters) >= 2
-        assert any(not r.converged and r.iterations == 20 for r in lone)
+        assert any(not r.converged and r.iterations == BP_MAX_ITER for r in lone)
         for i, r in enumerate(lone):
             np.testing.assert_array_equal(batch.bits[i], r.bits)
             assert batch.converged[i] == r.converged

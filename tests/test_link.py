@@ -109,6 +109,12 @@ class TestMapBits:
         with pytest.raises(ValueError, match="not in the selected subset"):
             demap_bits([index], lab)
 
+    def test_non_binary_bits_rejected(self):
+        # A 2 would otherwise carry into the next bit of its group.
+        lab = SymbolLabeling.from_mask(SubsetMask.from_indices(8, range(8)))
+        with pytest.raises(ValueError, match="0 or 1"):
+            map_bits(np.array([0, 2, 1, 1]), lab)
+
     def test_round_trip_with_unsorted_labeling(self):
         lab = SymbolLabeling(selected=np.array([6, 1, 4, 3]))
         bits = np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8)
@@ -161,6 +167,13 @@ class TestComputeLlrs:
         with pytest.warns(RuntimeWarning, match="zero likelihood"):
             llr = compute_llrs_block(ch, lab, [2])[0]
         np.testing.assert_array_equal(llr, [0.0])
+
+    @pytest.mark.parametrize("y", [-1, 2], ids=["negative", "past-end"])
+    def test_output_index_outside_alphabet_rejected(self, y):
+        ch = DmcChannel.from_probs(np.array([[0.8, 0.2], [0.2, 0.8]]))
+        lab = SymbolLabeling.from_mask(SubsetMask.full(2))
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            compute_llrs_block(ch, lab, [y])
 
     def test_block_matches_scalar(self):
         rng = np.random.default_rng(9)

@@ -34,7 +34,7 @@ from dmc_shaper import (
 )
 from dmc_shaper import sdp
 from dmc_shaper.mimo import qpsk_rotation
-from dmc_shaper.sdp import SdpSolution, _expand, _input_orbits, _quantize_top_k, _reduce
+from dmc_shaper.sdp import SdpSolution, _input_orbits, _quantize_top_k
 
 
 def bsc(p):
@@ -251,11 +251,15 @@ class TestAndersonAcceleration:
     def test_steps_do_not_depend_on_blas_threads(self):
         # The history's dot products are as long as 16,642 entries here, where
         # a BLAS that splits one sum between threads would change its bits.
+        # At 22.5 dB the Fourier blocks' spectra are nearly degenerate, so
+        # s_hat's trip back from the blocks is pinned there too.
         code = (
             "import hashlib, dmc_shaper as d\n"
-            "ch = d.build_quantized_mimo(d.example_h4x4(), d.SnrPoint.from_db(0.0))\n"
-            "sol = d.solve_sdp(d.build_gram(ch), 16, tol=1e-4, max_iter=150)\n"
-            "print(sol.iterations, hashlib.sha256(sol.s_hat.tobytes()).hexdigest())\n"
+            "h = d.example_h4x4()\n"
+            "for db, k, max_iter in ((0.0, 16, 150), (22.5, 16, 5000), (22.5, 64, 5000)):\n"
+            "    ch = d.build_quantized_mimo(h, d.SnrPoint.from_db(db))\n"
+            "    sol = d.solve_sdp(d.build_gram(ch), k, tol=1e-4, max_iter=max_iter)\n"
+            "    print(sol.iterations, hashlib.sha256(sol.s_hat.tobytes()).hexdigest())\n"
         )
         src = str(Path(sdp.__file__).resolve().parents[1])
         outputs = set()
@@ -283,10 +287,10 @@ class TestInteriorPoint:
         for _ in range(r - 1):
             turns.append(turns[-1][np.ix_(turn, turn)])
         s = sum(turns)
-        blocks = sdp._to_blocks(_reduce(s, orbits))
-        np.testing.assert_allclose(_expand(sdp._from_blocks(blocks), orbits), s, atol=1e-12)
+        blocks = sdp._to_blocks(s, orbits)
+        np.testing.assert_allclose(sdp._to_full(blocks, orbits), s, atol=1e-12)
 
-        # A(S) in orbit coordinates: orbit sums of S_ii - S_in, the corner and
+        # A(S) on the blocks: orbit sums of S_ii - S_in, the corner and
         # the border sum.
         n = g * r
         want = [sum(s[i, i] - s[i, n] for i in orbit) for orbit in orbits]
@@ -334,7 +338,7 @@ class TestPsdFactorize:
     def _sol(self, s):
         return SdpSolution(
             s_hat=s, objective=0.0, primal_residual=0.0, dual_residual=0.0,
-            iterations=1, converged=True,
+            iterations=1, converged=True, lower_bound=0.0,
         )
 
     def test_identity(self):
@@ -374,21 +378,26 @@ class TestRoundSolution:
         # whose first-M entries are [0.9, -0.2, 0.5, 0.1].
         s_vec = np.array([0.9, -0.2, 0.5, 0.1, 1.0])
         s = np.outer(s_vec, s_vec)
-        v = psd_factorize(SdpSolution(s, 0.0, 0.0, 0.0, 1, True))
+        v = psd_factorize(SdpSolution(s, 0.0, 0.0, 0.0, 1, True, 0.0))
         mask, _ = round_solution(v, 2, np.eye(4), RoundingConfig(n_rand=20, rng_seed=0))
         np.testing.assert_array_equal(mask.bits, [True, False, True, False])
 
     def test_single_draw_rank_one(self):
         s_vec = np.array([0.9, -0.2, 0.5, 0.1, 1.0])
         s = np.outer(s_vec, s_vec)
-        v = psd_factorize(SdpSolution(s, 0.0, 0.0, 0.0, 1, True))
+        v = psd_factorize(SdpSolution(s, 0.0, 0.0, 0.0, 1, True, 0.0))
         mask, _ = round_solution(v, 2, np.eye(4), RoundingConfig(n_rand=1, rng_seed=0))
         np.testing.assert_array_equal(mask.bits, [True, False, True, False])
 
     def test_gram_must_match_factor(self):
-        v = psd_factorize(SdpSolution(np.eye(5), 0.0, 0.0, 0.0, 1, True))
+        v = psd_factorize(SdpSolution(np.eye(5), 0.0, 0.0, 0.0, 1, True, 0.0))
         with pytest.raises(ValueError, match="4 x 4"):
             round_solution(v, 2, np.eye(5), RoundingConfig(n_rand=1))
+
+    def test_k_outside_range_rejected(self):
+        v = psd_factorize(SdpSolution(np.eye(7), 0.0, 0.0, 0.0, 1, True, 0.0))
+        with pytest.raises(ValueError, match=r"k must be in \[2, 6\]"):
+            round_solution(v, 7, np.eye(6), RoundingConfig(n_rand=1))
 
     def test_quantize_ties_and_sign(self):
         # Equal entries go to the smallest indices; a negative slack entry
