@@ -18,7 +18,6 @@ from .ldpc import BpResult, LdpcCode, bp_decode, build_ldpc
 from .link import (
     BerRecord,
     SymbolLabeling,
-    average_ber_records,
     compute_llrs_block,
     map_bits,
     run_coded_ber,
@@ -74,7 +73,6 @@ __all__ = [
     "SnrPoint",
     "SubsetMask",
     "SymbolLabeling",
-    "average_ber_records",
     "blahut_arimoto",
     "bp_decode",
     "bsa_select",

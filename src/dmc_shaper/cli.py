@@ -23,7 +23,7 @@ from .channel import (
     load_channel,
     save_channel,
 )
-from .link import average_ber_records, run_coded_ber
+from .link import run_coded_ber
 from .mimo import ComplexChannelMatrix, SnrPoint, build_quantized_mimo, example_h4x4, load_h_matrix
 from .rates import blahut_arimoto, check_stopping_rule, uniform_subset_rate
 from .sdp import RoundingConfig, sdp_select
@@ -76,8 +76,8 @@ def _load_mask(spec: str, m: int) -> SubsetMask:
     with open(spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
-        if "M" in doc and int(doc["M"]) != m:
-            raise ValueError(f"mask file is for M={doc['M']}, channel has M={m}")
+        if "M" in doc and (type(doc["M"]) is not int or doc["M"] != m):
+            raise ValueError(f"mask file is for M={doc['M']!r}, channel has M={m}")
         doc = doc.get("indices", doc.get("mask"))
     if not isinstance(doc, list):
         raise ValueError("mask file must be a JSON list or an object with 'indices'")
@@ -169,14 +169,19 @@ def _sweep_point(
     snr_idx: int,
     configs: list[tuple[int, str]],
     args: argparse.Namespace,
-) -> list[str]:
+) -> dict[str, str]:
+    """One CSV row, keyed by column name in column order."""
     ch = build_quantized_mimo(h, SnrPoint.from_db(snr_db))
     full = SubsetMask.full(ch.num_inputs)
     ba = blahut_arimoto(ch, tol=args.ba_tol, max_iter=args.ba_max_iter)
-    cells = [_fmt(snr_db), _fmt(ba.capacity_bits), _fmt(uniform_subset_rate(ch, full))]
+    row = {
+        "snr_db": _fmt(snr_db),
+        "capacity_ba": _fmt(ba.capacity_bits),
+        "rate_uniform_full": _fmt(uniform_subset_rate(ch, full)),
+    }
     # Solver diagnostics go after every rate column: BA's flag, then each
     # SDP solve's flag and iteration count.
-    diagnostics = [str(int(ba.converged))]
+    diagnostics = {"ba_converged": str(int(ba.converged))}
     for cfg_idx, (k, method) in enumerate(configs):
         seed = _derived_seed(args.seed, snr_idx, cfg_idx)
         if method == "exhaustive":
@@ -194,15 +199,17 @@ def _sweep_point(
                     max_iter=args.sdp_max_iter,
                 )
                 mask = res.mask
-                diagnostics += [str(int(res.solution.converged)), str(res.solution.iterations)]
+                diagnostics[f"sdp_converged_k{k}"] = str(int(res.solution.converged))
+                diagnostics[f"sdp_iters_k{k}"] = str(res.solution.iterations)
             else:
                 mask = bsa_select(
                     ch, BsaConfig(k=k, restarts=args.restarts, rng_seed=seed)
                 ).mask
             vals = evaluate_mask(ch, mask)
             triple = (vals["rate"], vals["cutoff"], vals["ser"])
-        cells.extend(_fmt(v) for v in triple)
-    return cells + diagnostics
+        for name, value in zip(("rate", "cutoff", "ser"), triple):
+            row[f"{name}_k{k}_{method}"] = _fmt(value)
+    return row | diagnostics
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -215,6 +222,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown method {method!r}")
     if not ks or not methods:
         raise ValueError("need at least one k and one method")
+    # A repeated value would write two columns under one name.
     for flag, values in (("--k", ks), ("--methods", methods)):
         if len(set(values)) != len(values):
             raise ValueError(f"{flag} values must be distinct, got {values}")
@@ -237,20 +245,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         elif method == "exhaustive":
             check_exhaustive_size(m, k)
 
-    header = ["snr_db", "capacity_ba", "rate_uniform_full"]
-    for k, method in configs:
-        header.extend(
-            [f"rate_k{k}_{method}", f"cutoff_k{k}_{method}", f"ser_k{k}_{method}"]
-        )
-    header.append("ba_converged")
-    for k, method in configs:
-        if method == "sdp":
-            header.extend([f"sdp_converged_k{k}", f"sdp_iters_k{k}"])
-
     rows = [_sweep_point(h, snr, i, configs, args) for i, snr in enumerate(snrs)]
 
-    lines = [CSV_HEADER_COMMENT, ",".join(header)]
-    lines.extend(",".join(cells) for cells in rows)
+    lines = [CSV_HEADER_COMMENT, ",".join(rows[0])]
+    lines.extend(",".join(row.values()) for row in rows)
     _emit(lines, args.out)
     return 0
 
@@ -274,7 +272,7 @@ def cmd_coded_ber(args: argparse.Namespace) -> int:
         max_frames=args.max_frames,
     )
     lines = [CSV_HEADER_COMMENT, "snr_db,k,code_rate,frames,bit_errors,ber"]
-    for rec in average_ber_records(records):
+    for rec in records:
         lines.append(
             ",".join(
                 [

@@ -27,7 +27,7 @@ from .mimo import (
 )
 
 
-# Frames decoded together; bounds the (frames, edges) BP working arrays.
+# Frames decoded together; bounds the (edges, frames) BP working arrays.
 _FRAME_BATCH = 64
 
 
@@ -43,9 +43,21 @@ class SymbolLabeling:
     selected: np.ndarray
 
     def __post_init__(self) -> None:
-        k = self.selected.shape[0]
-        if 2**self.bits_per_symbol != k:
-            raise ValueError(f"subset size must be a power of two, got {k}")
+        sel = self.selected
+        if not (
+            isinstance(sel, np.ndarray)
+            and sel.ndim == 1
+            and np.issubdtype(sel.dtype, np.integer)
+            and not (sel < 0).any()
+            and np.unique(sel).size == sel.size
+        ):
+            raise ValueError(
+                "selected inputs must be a 1-D integer array of distinct, non-negative indices"
+            )
+        k = sel.shape[0]
+        # One input carries no bit: map_bits would group code bits by zero.
+        if k < 2 or 2**self.bits_per_symbol != k:
+            raise ValueError(f"subset size must be a power of two of at least 2, got {k}")
 
     @classmethod
     def from_mask(cls, mask: SubsetMask) -> "SymbolLabeling":
@@ -92,6 +104,8 @@ def compute_llrs_block(
     y = np.asarray(y_indices, dtype=np.intp)
     if y.size and not (0 <= y.min() and y.max() < ch.num_outputs):
         raise ValueError(f"output indices must be in [0, {ch.num_outputs})")
+    if lab.selected.max() >= ch.num_inputs:
+        raise ValueError(f"selected inputs must be in [0, {ch.num_inputs})")
     log_p = ch.log_trans[np.ix_(lab.selected, y)].T  # (n_uses, K)
     bits = lab.label_bits()
     q = lab.bits_per_symbol
@@ -115,7 +129,7 @@ def compute_llrs_block(
 
 @dataclass(frozen=True)
 class BerRecord:
-    """Error counts of one simulated SNR point (one code seed)."""
+    """Error counts of one simulated SNR point, summed over the code seeds."""
 
     snr_db: float
     bits_sent: int
@@ -123,32 +137,10 @@ class BerRecord:
     frame_errors: int
     frames: int
     code_rate: float
-    seed: int | None = None
 
     @property
     def ber(self) -> float:
         return self.bit_errors / self.bits_sent if self.bits_sent else 0.0
-
-
-def average_ber_records(records: list[BerRecord]) -> list[BerRecord]:
-    """Merge per-seed records into one record per SNR point, in first-seen order."""
-    by_snr: dict[float, list[BerRecord]] = {}
-    for rec in records:
-        by_snr.setdefault(rec.snr_db, []).append(rec)
-    out = []
-    for snr_db, group in by_snr.items():
-        out.append(
-            BerRecord(
-                snr_db=snr_db,
-                bits_sent=sum(r.bits_sent for r in group),
-                bit_errors=sum(r.bit_errors for r in group),
-                frame_errors=sum(r.frame_errors for r in group),
-                frames=sum(r.frames for r in group),
-                code_rate=group[0].code_rate,
-                seed=None,
-            )
-        )
-    return out
 
 
 def run_coded_ber(
@@ -161,7 +153,8 @@ def run_coded_ber(
     min_frame_errors: int = 50,
     max_frames: int = 10**6,
 ) -> list[BerRecord]:
-    """Coded BER sweep: one record per (seed, SNR point).
+    """Coded BER sweep: one record per SNR point, in ``snr_db_list`` order,
+    holding the counts of every seed in ``seeds`` summed.
 
     Per frame: encode a random message, map code bits onto selected inputs,
     draw the quantized outputs, look up their LLRs, and decode. LLRs depend
@@ -174,7 +167,8 @@ def run_coded_ber(
     ``max_frames``) and the records equal those of a frame-by-frame loop.
     Frame RNG streams derive from (seed, frame index), message first and
     then noise, so the same noise is reused across SNR points, which must be
-    distinct.
+    distinct. Each seed's code is built once; all have the same rate, since
+    the number of checks depends only on ``n`` and ``total_rate``.
     """
     seeds = tuple(seeds)
     if not seeds or min_frame_errors < 1 or max_frames < 1:
@@ -201,11 +195,11 @@ def run_coded_ber(
         ch = build_quantized_mimo(h, snr)
         llr_tables.append(compute_llrs_block(ch, lab, np.arange(ch.num_outputs)))
 
-    records: list[BerRecord] = []
+    totals = np.zeros((len(points), 3), dtype=np.int64)  # frames, bit errors, frame errors
     for seed in seeds:
         code = build_ldpc(n, code_rate, seed=seed)
         k_msg = code.message_length
-        for snr, llr_table in zip(points, llr_tables):
+        for point, (snr, llr_table) in enumerate(zip(points, llr_tables)):
             bit_errors = 0
             frame_errors = 0
             frames = 0
@@ -224,15 +218,15 @@ def run_coded_ber(
                 bit_errors += int(errs.sum())
                 frame_errors += int(np.count_nonzero(errs))
                 frames += batch
-            records.append(
-                BerRecord(
-                    snr_db=snr.db,
-                    bits_sent=frames * k_msg,
-                    bit_errors=bit_errors,
-                    frame_errors=frame_errors,
-                    frames=frames,
-                    code_rate=code.rate,
-                    seed=int(seed),
-                )
-            )
-    return records
+            totals[point] += (frames, bit_errors, frame_errors)
+    return [
+        BerRecord(
+            snr_db=snr.db,
+            bits_sent=frames * k_msg,
+            bit_errors=bit_errors,
+            frame_errors=frame_errors,
+            frames=frames,
+            code_rate=code.rate,
+        )
+        for snr, (frames, bit_errors, frame_errors) in zip(points, totals.tolist())
+    ]

@@ -67,6 +67,12 @@ def build_gram(ch: DmcChannel) -> np.ndarray:
     return a
 
 
+def _check_gram(a: np.ndarray) -> None:
+    """Refuse a Gram matrix ``build_gram`` could not have returned."""
+    if not (np.isfinite(a).all() and np.array_equal(a, a.T)):
+        raise ValueError("Gram matrix must be finite and exactly symmetric")
+
+
 # The Fourier blocks pay off from this M on: on a 2-core x86 box, the
 # interior-point loop took 0.43-0.51 ms per iteration plain and 0.60-0.72
 # ms on the Fourier blocks at M = 16 (the 50 desk solves), 2.7-3.8 against
@@ -257,6 +263,7 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
         raise ValueError("Gram matrix must be M x M with M >= 2")
     if not (2 <= k <= m):
         raise ValueError(f"k must be in [2, {m}], got {k}")
+    _check_gram(a)
 
     b_mat = np.pad(a, (0, 1))
     if k == m:
@@ -393,6 +400,7 @@ def round_solution(
         raise ValueError(f"Gram matrix must be {m} x {m} for {n} factor columns, got {a.shape}")
     if not (2 <= k <= m):
         raise ValueError(f"k must be in [2, {m}], got {k}")
+    _check_gram(a)
 
     best_idx: np.ndarray | None = None
     best_obj = math.inf

@@ -246,6 +246,26 @@ class TestSweep:
             assert row["cutoff_k4_sdp"] <= row["rate_k4_sdp"] + 1e-9
             assert row["rate_k4_sdp"] <= row["capacity_ba"] + 1e-6
 
+    def test_full_header_pinned(self, capsys, h_file):
+        # Rate columns per (k, method) in --k then --methods order, then the
+        # diagnostics, each sdp k in --k order.
+        code, out, _ = run_cli(
+            capsys, "sweep", "--h-matrix", h_file, "--snr-db", "5",
+            "--k", "8,4", "--methods", "full,sdp,exhaustive", "--seed", "0", "--nrand", "5",
+        )
+        assert code == 0
+        assert out.split("\n")[1].split(",") == [
+            "snr_db", "capacity_ba", "rate_uniform_full",
+            "rate_k8_full", "cutoff_k8_full", "ser_k8_full",
+            "rate_k8_sdp", "cutoff_k8_sdp", "ser_k8_sdp",
+            "rate_k8_exhaustive", "cutoff_k8_exhaustive", "ser_k8_exhaustive",
+            "rate_k4_full", "cutoff_k4_full", "ser_k4_full",
+            "rate_k4_sdp", "cutoff_k4_sdp", "ser_k4_sdp",
+            "rate_k4_exhaustive", "cutoff_k4_exhaustive", "ser_k4_exhaustive",
+            "ba_converged", "sdp_converged_k8", "sdp_iters_k8",
+            "sdp_converged_k4", "sdp_iters_k4",
+        ]
+
     def test_unconverged_sdp_flagged(self, capsys, h_file):
         code, out, _ = run_cli(
             capsys, "sweep", "--h-matrix", h_file, "--snr-db", "5",
@@ -436,8 +456,11 @@ class TestCodedBer:
             ({"M": 16, "picks": [0, 5, 10, 15]}, "JSON list"),
             ("0,5,10,15", "JSON list"),
             ({"M": 16, "indices": [0.5, 5, 10, 15]}, "integers"),
+            ({"M": None, "indices": [0, 5, 10, 15]}, "M=None"),
+            ({"M": 16.7, "indices": [0, 5, 10, 15]}, "M=16.7"),
+            ({"M": "16", "indices": [0, 5, 10, 15]}, "M='16'"),
         ],
-        ids=["wrong-m", "no-indices", "not-a-list", "non-integer"],
+        ids=["wrong-m", "no-indices", "not-a-list", "non-integer", "m-null", "m-float", "m-string"],
     )
     def test_bad_mask_file_rejected(self, capsys, h_file, tmp_path, doc, message):
         mask_file = tmp_path / "mask.json"
@@ -448,6 +471,7 @@ class TestCodedBer:
         )
         assert code == 1
         assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
         assert message in err
 
     @pytest.mark.parametrize("ensemble", ["1", "2"])

@@ -17,7 +17,6 @@ from dmc_shaper import (
     SnrPoint,
     SubsetMask,
     SymbolLabeling,
-    average_ber_records,
     bp_decode,
     build_ldpc,
     build_quantized_mimo,
@@ -54,6 +53,21 @@ class TestSymbolLabeling:
     def test_power_of_two_required(self):
         with pytest.raises(ValueError, match="power of two"):
             SymbolLabeling.from_mask(SubsetMask.from_indices(8, [0, 1, 2]))
+
+    @pytest.mark.parametrize(
+        "selected",
+        [np.array([3, 3, 7, 9]), np.array([-1, 3, 7, 9]), [1, 3, 7, 9],
+         np.array([[1, 3], [7, 9]]), np.array([1.0, 3.0, 7.0, 9.0]),
+         np.array([True, False])],
+        ids=["duplicate", "negative", "list", "2-d", "float", "bool"],
+    )
+    def test_selected_must_be_distinct_non_negative_indices(self, selected):
+        with pytest.raises(ValueError, match="distinct, non-negative"):
+            SymbolLabeling(selected=selected)
+
+    def test_single_input_rejected(self):
+        with pytest.raises(ValueError, match="power of two of at least 2"):
+            SymbolLabeling(selected=np.array([3]))
 
     def test_bits_per_symbol(self):
         lab = SymbolLabeling.from_mask(SubsetMask.from_indices(8, [1, 3, 4, 6]))
@@ -174,6 +188,12 @@ class TestComputeLlrs:
         lab = SymbolLabeling.from_mask(SubsetMask.full(2))
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
             compute_llrs_block(ch, lab, [y])
+
+    def test_selected_input_outside_alphabet_rejected(self):
+        ch = DmcChannel.from_probs(np.array([[0.8, 0.2], [0.2, 0.8]]))
+        lab = SymbolLabeling(selected=np.array([0, 2]))
+        with pytest.raises(ValueError, match=r"selected inputs must be in \[0, 2\)"):
+            compute_llrs_block(ch, lab, [0])
 
     def test_block_matches_scalar(self):
         rng = np.random.default_rng(9)
@@ -320,16 +340,16 @@ class TestRunCodedBer:
             seeds=(1, 2, 3), max_frames=2,
         )
         assert calls == [16, 16]
-        assert [(r.seed, r.snr_db) for r in records] == [
-            (seed, snr) for seed in (1, 2, 3) for snr in (0.0, 10.0)
-        ]
+        assert [r.snr_db for r in records] == [0.0, 10.0]
+        assert [r.frames for r in records] == [6, 6]
 
     @staticmethod
     def _frame_by_frame(h, mask, snr_db_list, n, total_rate, seeds, min_frame_errors, max_frames):
-        """Reference: one frame at a time, LLRs computed per frame."""
+        """Reference: one frame at a time, LLRs computed per frame, the
+        counts of each point summed over the seeds."""
         lab = SymbolLabeling.from_mask(mask)
         table = enumerate_qpsk_inputs(h.n_tx)
-        records = []
+        totals = {snr_db: np.zeros(4, dtype=np.int64) for snr_db in snr_db_list}
         for seed in seeds:
             code = build_ldpc(n, total_rate / lab.bits_per_symbol, seed=seed)
             for snr_db in snr_db_list:
@@ -347,15 +367,9 @@ class TestRunCodedBer:
                     bit_errors += errs
                     frame_errors += int(errs > 0)
                     frames += 1
-                bits_sent = frames * code.message_length
-                records.append(
-                    BerRecord(
-                        snr_db=snr_db, bits_sent=bits_sent, bit_errors=bit_errors,
-                        frame_errors=frame_errors, frames=frames,
-                        code_rate=code.rate, seed=seed,
-                    )
-                )
-        return records
+                totals[snr_db] += (frames * code.message_length, bit_errors, frame_errors, frames)
+        # BerRecord's count fields, in order: bits_sent, bit_errors, frame_errors, frames.
+        return [BerRecord(snr_db, *t.tolist(), code.rate) for snr_db, t in totals.items()]
 
     @pytest.mark.parametrize(
         "snr_db_list, seeds, min_frame_errors, max_frames, stop",
@@ -388,6 +402,8 @@ class TestRunCodedBer:
 
 
 class TestAverageBerRecords:
+    """A record's BER, and the per-point sums over several code seeds."""
+
     def test_ber_is_errors_over_bits_sent(self):
         rec = BerRecord(
             snr_db=0.0, bits_sent=40, bit_errors=3, frame_errors=1, frames=2, code_rate=0.5
@@ -400,16 +416,15 @@ class TestAverageBerRecords:
         mask = SubsetMask.from_indices(16, [1, 6, 11, 12])
         snrs = [5.0, 0.0]
         kwargs = dict(n=24, total_rate=1.0, min_frame_errors=4, max_frames=30)
-        per_seed = run_coded_ber(h, mask, snrs, seeds=(2, 3), **kwargs)
-        merged = average_ber_records(per_seed)
+        merged = run_coded_ber(h, mask, snrs, seeds=(2, 3), **kwargs)
+        per_seed = [run_coded_ber(h, mask, snrs, seeds=(seed,), **kwargs) for seed in (2, 3)]
         assert [rec.snr_db for rec in merged] == snrs
-        for rec in merged:
-            group = [r for r in per_seed if r.snr_db == rec.snr_db]
-            assert len(group) == 2
+        for i, rec in enumerate(merged):
+            group = [records[i] for records in per_seed]
+            assert all(r.snr_db == rec.snr_db for r in group)
             assert rec.frames == sum(r.frames for r in group)
             assert rec.frame_errors == sum(r.frame_errors for r in group)
             assert rec.bits_sent == sum(r.bits_sent for r in group)
             assert rec.bit_errors == sum(r.bit_errors for r in group)
             assert rec.ber == rec.bit_errors / rec.bits_sent
-            assert rec.code_rate == group[0].code_rate
-            assert rec.seed is None
+            assert all(r.code_rate == rec.code_rate for r in group)

@@ -52,6 +52,19 @@ def small_mimo_channel(seed, snr_db=10.0):
     return build_quantized_mimo(ComplexChannelMatrix(gains), SnrPoint.from_db(snr_db))
 
 
+def bad_gram(kind):
+    """6 x 6 identity with one off-diagonal pair, or one entry, spoiled."""
+    a = np.eye(6)
+    if kind == "asymmetric":
+        a[0, 1] = 0.5
+    else:
+        a[0, 1] = a[1, 0] = float(kind)
+    return a
+
+
+BAD_GRAMS = pytest.mark.parametrize("kind", ["nan", "inf", "asymmetric"])
+
+
 def boolean_minimum(a, k):
     """Exhaustive minimum of b^T A b over k-subsets."""
     m = a.shape[0]
@@ -208,6 +221,11 @@ class TestSolveSdp:
             solve_sdp(g, k=2, tol=float("nan"))
         with pytest.raises(ValueError, match="max_iter"):
             solve_sdp(g, k=2, max_iter=0)
+
+    @BAD_GRAMS
+    def test_gram_not_finite_or_not_symmetric_rejected(self, kind):
+        with pytest.raises(ValueError, match="finite and exactly symmetric"):
+            solve_sdp(bad_gram(kind), k=3)
 
 
 @pytest.fixture(scope="module")
@@ -398,6 +416,12 @@ class TestRoundSolution:
         v = psd_factorize(SdpSolution(np.eye(7), 0.0, 0.0, 0.0, 1, True, 0.0))
         with pytest.raises(ValueError, match=r"k must be in \[2, 6\]"):
             round_solution(v, 7, np.eye(6), RoundingConfig(n_rand=1))
+
+    @BAD_GRAMS
+    def test_gram_not_finite_or_not_symmetric_rejected(self, kind):
+        v = psd_factorize(SdpSolution(np.eye(7), 0.0, 0.0, 0.0, 1, True, 0.0))
+        with pytest.raises(ValueError, match="finite and exactly symmetric"):
+            round_solution(v, 3, bad_gram(kind), RoundingConfig(n_rand=5))
 
     def test_quantize_ties_and_sign(self):
         # Equal entries go to the smallest indices; a negative slack entry
