@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmc_shaper import __version__, check_channel_dict, cli, link
+from dmc_shaper import __version__, check_channel_dict, cli, link, load_channel, rates
 from dmc_shaper.cli import main
 
 
@@ -217,6 +218,30 @@ class TestSelect:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_exhaustive_prints_brute_force_optimum(self, capsys, tmp_path):
+        # A seeded 3x3 H at 10 dB gives M = 64 inputs; K = 3 is C(64, 3) = 41,664 subsets.
+        rng = np.random.default_rng(64)
+        gains = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) * np.sqrt(0.5)
+        h_path, ch_path = tmp_path / "h3.json", tmp_path / "m64.json"
+        h_path.write_text(json.dumps({"re": gains.real.tolist(), "im": gains.imag.tolist()}))
+        run_cli(capsys, "channel", "build-mimo", "--h-matrix", str(h_path),
+                "--snr-db", "10", "--out", str(ch_path))
+        ch = load_channel(str(ch_path))
+        assert ch.num_inputs == 64
+        combos = np.asarray(list(itertools.combinations(range(64), 3)))
+        scorers = {"rate": rates.batch_rate, "cutoff": rates.batch_cutoff_rate, "ser": rates.batch_ser}
+        for criterion, scorer in scorers.items():
+            vals = scorer(ch, combos)
+            i = int(vals.argmin() if criterion == "ser" else vals.argmax())
+            code, out, _ = run_cli(
+                capsys, "select", "exhaustive", "--channel", str(ch_path),
+                "--k", "3", "--criterion", criterion,
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["mask"] == combos[i].tolist(), criterion
+            assert doc["value"] == vals[i], criterion
 
 
 class TestSweep:

@@ -168,6 +168,71 @@ class TestExhaustiveBitIdentity:
                 self.check(ch, k, criterion)
 
 
+    @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
+    def test_weak_incumbent(self, monkeypatch, criterion):
+        # One prefix sets the incumbent and chunks hold 3 subsets, so pass 2
+        # keeps more prefixes and crosses many chunk boundaries.
+        monkeypatch.setattr(subset_search, "_INCUMBENT_PREFIXES", 1)
+        for ch in (small_mimo_channel(63, snr_db=0.0), duplicated_rows_channel()):
+            monkeypatch.setattr(subset_search, "_CHUNK_ENTRIES", 3 * ch.num_outputs)
+            for k in (2, 3, 5):
+                self.check(ch, k, criterion)
+
+    @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
+    def test_noiseless_heavy_ties(self, criterion):
+        # Inputs x and x + 4 share output x % 4: every subset with one input
+        # per output reaches log2 K exactly, so no prefix bound prunes them.
+        ch = DmcChannel.from_probs(np.eye(4)[np.arange(12) % 4])
+        for k in (2, 3, 4, 5):
+            self.check(ch, k, criterion)
+        mask, val = exhaustive_select(ch, 4, criterion)
+        assert mask.indices.tolist() == [0, 1, 2, 3]
+        assert val == {"rate": 2.0, "cutoff": 2.0, "ser": 0.0}[criterion]
+
+    @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
+    def test_seeded_mimo_3x3(self, criterion):
+        # M = 64, K = 3: C(64, 3) = 41,664 subsets.
+        self.check(small_mimo_channel(64, snr_db=10.0, n=3), 3, criterion)
+
+
+def sparse_channel():
+    """Eight inputs over six outputs with exact zeros; input 5 is noiseless."""
+    p = random_channel(8, 6, seed=65).trans.copy()
+    p[p < 0.12] = 0.0
+    p[5] = np.eye(6)[2]
+    return DmcChannel.from_probs(p / p.sum(axis=1, keepdims=True))
+
+
+class TestPrefixBounds:
+    """Each (K-1)-prefix bound holds for every completion of the prefix."""
+
+    @staticmethod
+    def check(ch, k, criterion):
+        pref = subset_search._prefixes(ch.num_inputs, k)
+        parts = rates._COLUMN_SCORERS[criterion](ch)
+        bound = subset_search._prefix_bounds(parts, criterion, k, pref)
+        position = {tuple(p): i for i, p in enumerate(pref.tolist())}
+        scorer = {"rate": rates.batch_rate, "ser": rates.batch_ser, "cutoff": rates.batch_cutoff_rate}
+        combos = np.asarray(list(itertools.combinations(range(ch.num_inputs), k)), dtype=np.intp)
+        vals = scorer[criterion](ch, combos) * (-1.0 if criterion == "ser" else 1.0)
+        limit = bound[[position[tuple(c)] for c in combos[:, :-1].tolist()]]
+        worst = int((vals - limit).argmax())
+        assert vals[worst] <= limit[worst] + subset_search._BOUND_MARGIN, combos[worst]
+
+    @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
+    def test_every_completion_under_its_bound(self, criterion):
+        channels = [small_mimo_channel(seed, snr_db) for seed in (66, 67) for snr_db in (-5.0, 10.0)]
+        channels += [duplicated_rows_channel(), sparse_channel()]
+        for ch in channels:
+            for k in (2, 3, ch.num_inputs - 1):
+                self.check(ch, k, criterion)
+
+    def test_prefixes_are_compact_and_lexicographic(self):
+        pref = subset_search._prefixes(64, 4)
+        assert pref.dtype == np.uint8
+        assert pref.tolist() == [list(p) for p in itertools.combinations(range(63), 3)]
+
+
 class TestBsaSelect:
     def test_noiseless_reaches_zero_ser(self):
         ch = DmcChannel.from_probs(np.eye(8))
