@@ -5,9 +5,9 @@ minimizing b^T A b over binary b with exactly k ones, where A is the Gram
 matrix of square-root likelihood rows (pairwise confusability). The problem
 is lifted with a sign slack variable to a symmetric form, relaxed by dropping
 the rank-one constraint, solved by a primal-dual interior-point method, and
-rounded back to a subset: Gaussian draws from the solution covariance plus
-its dominant eigenvector are each quantized to their top k entries, and the
-best is kept.
+rounded back to a subset: Gaussian draws from the solution covariance, and
+its column of relaxed selection values, are each quantized to their top k
+entries, and the best is kept.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def _check_gram(a: np.ndarray) -> None:
 # interior-point loop took 0.43-0.51 ms per iteration plain and 0.60-0.72
 # ms on the Fourier blocks at M = 16 (the 50 desk solves), 2.7-3.8 against
 # 1.1-1.3 ms at M = 64 and 43-46 against 9.8-10.3 ms at M = 256, in the same
-# number of iterations. The QPSK rotation exists only for M = 4^T, so
-# M = 16 stays plain.
+# number of iterations. So M = 16 = 4^2, whose Gram matrix has the rotation
+# symmetry too, stays plain.
 _REDUCE_MIN_M = 32
 _INVARIANCE_TOL = 1e-12
 
@@ -88,7 +88,9 @@ def _input_orbits(a: np.ndarray) -> np.ndarray:
 
     Input (o, a) is the a-th rotation x -> j^a x of the orbit's first input.
     The rotation is used (r = 4) when M = 4^T reaches ``_REDUCE_MIN_M`` and
-    the M x M Gram matrix is invariant under it; otherwise r = 1.
+    the M x M matrix ``a`` is invariant under it; otherwise r = 1. ``a`` is
+    the Gram matrix in ``solve_sdp`` and the input block of ``s_hat`` in
+    ``psd_factorize``.
     """
     m = a.shape[0]
     t = round(math.log(m, 4))
@@ -108,7 +110,8 @@ _WEIGHTS = (1.0, 1.0, 2.0)  # block 1 also stands for its conjugate, block 3
 
 
 def _to_blocks(mat: np.ndarray, orbits: np.ndarray) -> list[np.ndarray]:
-    """Fourier blocks of an invariant (M+1) x (M+1) matrix; it is PSD iff they are.
+    """Fourier blocks of an invariant (M+1) x (M+1) matrix, a unitary similarity
+    of it: it is PSD iff they are, and its square root maps to theirs.
 
     With input (o, a) the a-th member of orbit o, the matrix is fixed by
     c[d][o, o'] = S[(o, a), (o', a + d)], the border s[o] = S[(o, a), M] and
@@ -354,17 +357,22 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
 
 
 def psd_factorize(sol: SdpSolution) -> np.ndarray:
-    """Factor V with V^T V = s_hat, via eigendecomposition.
+    """The symmetric square root V = S^(1/2) of S = ``s_hat``, so V^T V = S.
 
-    Negative eigenvalues are clipped to zero; anything below -1e-5 means the
-    solution is not acceptably PSD and raises.
+    V is unique, so no eigensolver's basis within a repeated eigenvalue
+    reaches it. It is ``_to_full`` of the roots of the ``_to_blocks``
+    blocks, one ``eigh`` each. Negative eigenvalues are clipped to zero;
+    anything below -1e-5 means the solution is not acceptably PSD and raises.
     """
     s = sol.s_hat
-    w, q = np.linalg.eigh((s + s.T) / 2.0)
-    if float(w.min()) < -1e-5:
-        raise ValueError(f"solution has eigenvalue {w.min()!r}, not PSD")
-    np.maximum(w, 0.0, out=w)
-    return np.sqrt(w)[:, None] * q.T
+    orbits = _input_orbits(s[:-1, :-1])
+    roots = []
+    for x in _to_blocks(s, orbits):
+        w, q = np.linalg.eigh(_herm(x))
+        if float(w[0]) < -1e-5:
+            raise ValueError(f"solution has eigenvalue {w[0]!r}, not PSD")
+        roots.append((q * np.sqrt(np.maximum(w, 0.0))) @ q.conj().T)
+    return _to_full(roots, orbits)
 
 
 def _quantize_top_k(s_vec: np.ndarray, k: int) -> np.ndarray:
@@ -383,14 +391,14 @@ def round_solution(
     a: np.ndarray,
     cfg: RoundingConfig,
 ) -> tuple[SubsetMask, float]:
-    """Recover a k-subset from ``psd_factorize``'s factor V of the relaxed solution.
+    """Recover a k-subset from a factor V of the relaxed solution S = V^T V.
 
     V has M + 1 columns and ``a`` is the M x M Gram matrix. The candidates
     are s = V^T u for ``cfg.n_rand`` unit-sphere draws u (one stream per
-    draw index), then V's last row: ``psd_factorize`` orders rows by
-    ascending eigenvalue, so that is the dominant eigenvector scaled by
-    sqrt(lambda_max). Each is quantized and scored by b^T A b as it is
-    drawn; the first strict minimum wins.
+    draw index), then V^T V e_n = S e_n, the relaxed selection values S_in
+    (they sum to k), which for a rank-one S points along its dominant
+    eigenvector. Each is quantized and scored by b^T A b as it is drawn;
+    the first strict minimum wins.
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[1]
@@ -406,7 +414,7 @@ def round_solution(
     best_obj = math.inf
     for i in range(cfg.n_rand + 1):
         if i == cfg.n_rand:
-            s_vec = v[-1]
+            s_vec = v.T @ v[:, -1]
         else:
             u = np.random.default_rng([cfg.rng_seed, i]).standard_normal(n)
             s_vec = v.T @ (u / np.linalg.norm(u))
