@@ -376,13 +376,11 @@ def psd_factorize(sol: SdpSolution) -> np.ndarray:
 
 
 def _quantize_top_k(s_vec: np.ndarray, k: int) -> np.ndarray:
-    """Sign-normalize on the slack entry, then select the k largest of the
-    first M entries (ties to the smallest index)."""
-    if s_vec[-1] < 0.0:
-        s_vec = -s_vec
-    m = s_vec.shape[0] - 1
-    order = np.argsort(-s_vec[:m], kind="stable")
-    return np.sort(order[:k])
+    """Sign-normalize each candidate (last axis) on its slack entry, then
+    select the k largest of its first M entries (ties to the smallest index)."""
+    s_vec = np.where(s_vec[..., -1:] < 0.0, -s_vec, s_vec)
+    order = np.argsort(-s_vec[..., :-1], axis=-1, kind="stable")
+    return np.sort(order[..., :k], axis=-1)
 
 
 def round_solution(
@@ -397,8 +395,8 @@ def round_solution(
     are s = V^T u for ``cfg.n_rand`` unit-sphere draws u (one stream per
     draw index), then V^T V e_n = S e_n, the relaxed selection values S_in
     (they sum to k), which for a rank-one S points along its dominant
-    eigenvector. Each is quantized and scored by b^T A b as it is drawn;
-    the first strict minimum wins.
+    eigenvector. All are quantized and scored by b^T A b in one stack; the
+    first strict minimum wins.
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[1]
@@ -410,21 +408,16 @@ def round_solution(
         raise ValueError(f"k must be in [2, {m}], got {k}")
     _check_gram(a)
 
-    best_idx: np.ndarray | None = None
-    best_obj = math.inf
-    for i in range(cfg.n_rand + 1):
-        if i == cfg.n_rand:
-            s_vec = v.T @ v[:, -1]
-        else:
-            u = np.random.default_rng([cfg.rng_seed, i]).standard_normal(n)
-            s_vec = v.T @ (u / np.linalg.norm(u))
-        chosen = _quantize_top_k(s_vec, k)
-        obj = float(a[np.ix_(chosen, chosen)].sum())
-        if obj < best_obj:
-            best_obj = obj
-            best_idx = chosen
-    assert best_idx is not None
-    return SubsetMask.from_indices(m, best_idx), best_obj
+    s_vecs = np.empty((cfg.n_rand + 1, n))
+    for i in range(cfg.n_rand):
+        u = np.random.default_rng([cfg.rng_seed, i]).standard_normal(n)
+        # One product per draw: a stacked product would sum in another order.
+        s_vecs[i] = v.T @ (u / np.linalg.norm(u))
+    s_vecs[-1] = v.T @ v[:, -1]
+    chosen = _quantize_top_k(s_vecs, k)
+    objs = a[chosen[:, :, None], chosen[:, None, :]].reshape(len(chosen), k * k).sum(axis=1)
+    best = int(objs.argmin())  # the first strict minimum
+    return SubsetMask.from_indices(m, chosen[best]), float(objs[best])
 
 
 @dataclass(frozen=True)

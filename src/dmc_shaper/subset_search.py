@@ -6,19 +6,23 @@ repeatedly replaces the selected symbol with the highest misdetection cost by
 the outside candidate that lowers the total SER the most, falling back to the
 next-costliest symbol when no improving swap exists.
 
-Exhaustive search is exact branch and bound over the (K-1)-prefixes of the
-K-subsets. Each prefix P's column aggregate bounds every completion S = P + j:
-rate I(S) <= log2 K - ((K-1)/K) (log2(K-1) - I(P)) (a genie tells whether X
-lies in P), SER(S) >= ((K-1)/K) SER(P), and Bhattacharyya sum
-B(S) >= B(P) + min_x sum_y P(y|x). Only prefixes whose bound reaches a real
-subset's value (less a 1e-9 margin for rounding) are scored, in lexicographic
-order and with the same arithmetic as scoring every subset, so the optimum,
-its ties and its bits are those of the full enumeration.
+Exhaustive search is exact branch and bound, level by level over the
+d-prefixes P of the K-subsets (d = 1 .. K-1, lexicographic order, each with
+room for K - d larger inputs). A child's column aggregate is its parent's
+folded with one more row, and it bounds every completion S of P, with
+r = K - d rows still to add and w = d/K: rate I(S) <= h_b(w) + w I(P) +
+(1 - w) log2 r (a genie tells whether X lies in P), SER(S) >= w SER(P) +
+r (1 - max_x sum_y P(y|x)) / K, and Bhattacharyya sum
+B(S) >= B(P) + r min_x sum_y P(y|x). The incumbent is a short dive from depth
+min(2, K-1), polished by single swaps; every depth from there keeps only the
+nodes whose bound reaches it (less a 1e-9 margin for rounding). The kept
+(K-1)-prefixes are scored in lexicographic order with the same arithmetic
+as scoring every subset, so the optimum, its ties and its bits are those of
+the full enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,12 +36,12 @@ EXHAUSTIVE_GUARD = 10**7
 _MAX_PASSES = 1000  # switching passes per restart before the search is cut
 
 CRITERIA = tuple(rates._COLUMN_SCORERS)  # SER is minimized, the two rates maximized
-# Float64 entries (2 MB) in one (subsets, L) working array of exhaustive
-# search. On a 2-core x86 VM, 2^18 ran faster than 2^16 or 2^20 at M = 64
-# and M = 256.
-_CHUNK_ENTRIES = 2**18
-# Exhaustive search takes its incumbent from the completions of this many
-# prefixes with the best bounds.
+# Float64 entries (512 kB) in one (subsets, L) working array of exhaustive
+# search. On a 2-core x86 VM, 2^16 ran 10-20% faster than 2^15, 2^17 or 2^18
+# at M = 64, K = 4, and within 10% of the best of them at M = 256, K = 3.
+_CHUNK_ENTRIES = 2**16
+# Exhaustive search dives for its incumbent with this many best-bounded nodes
+# per depth.
 _INCUMBENT_PREFIXES = 16
 # Slack on a prefix bound, in the criterion's units: it covers the rounding
 # of a bound and of a value (about 1e-15 each), so no tie is pruned.
@@ -153,31 +157,80 @@ def bsa_select(ch: DmcChannel, cfg: BsaConfig) -> BsaResult:
     )
 
 
-def _prefixes(m: int, k: int) -> np.ndarray:
-    """The (k-1)-prefixes of the k-subsets of range(m), one row each in
-    lexicographic order and the smallest integer dtype that holds m - 1:
-    every k-subset is a prefix plus one larger index."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(m - 1), k - 1))
-    n = math.comb(m - 1, k - 1)
-    return np.fromiter(flat, np.min_scalar_type(m - 1), count=n * (k - 1)).reshape(n, k - 1)
+def _nodes(parts, criterion: str, m: int, k: int, nodes: np.ndarray, floor: float, n_sub: int):
+    """The children of the d-prefix rows of ``nodes`` whose bound reaches
+    ``floor``, and their bounds. A child appends one index j > P[-1] that
+    leaves room for the k - d - 1 larger inputs still to come; children come
+    in lexicographic order, built and bounded for chunks of parents with
+    about ``n_sub`` children at a time."""
+    rows, fold, _, term = parts
+    d = nodes.shape[1]
+    last = nodes[:, -1].astype(np.intp) if d else np.full(1, -1)
+    counts = m - k + d - last
+    ends = np.cumsum(counts)
+    kept_nodes, kept_bounds = [], []
+    a = 0
+    while a < nodes.shape[0]:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + n_sub, side="right")))
+        pref = nodes[a:b]
+        # numpy folds rows one after another, so this is fold.reduce's aggregate;
+        # the empty prefix's is 0, which either fold leaves each (>= 0) row as is.
+        agg = rows[pref[:, 0]] if d else np.zeros((1, rows.shape[1]))
+        for i in range(1, d):
+            agg = fold(agg, rows[pref[:, i]])
+        # Row-major order of the (parent, j) grid: parent by parent, j ascending.
+        owner, after = np.nonzero(np.arange(m - k + d + 1) > last[a:b, None])
+        col = fold(agg[owner], rows[after])
+        row_sum = None if term is None else term[pref].sum(axis=-1)[owner] + term[after]
+        bound = _bounds(parts, criterion, k, d + 1, col, row_sum)
+        keep = bound >= floor
+        kept_nodes.append(np.concatenate((pref[owner[keep]], after[keep, None].astype(nodes.dtype)), axis=1))
+        kept_bounds.append(bound[keep])
+        a = b
+    return np.concatenate(kept_nodes), np.concatenate(kept_bounds)
 
 
-def _prefix_bounds(parts, criterion: str, k: int, pref: np.ndarray) -> np.ndarray:
-    """Upper bound on sign * value (sign -1 for SER) over every k-subset that
-    extends each (k-1)-prefix row P of ``pref`` by one input j."""
-    rows, fold, finish, term = parts
-    col = fold.reduce(rows[pref], axis=-2)
+def _bounds(parts, criterion: str, k: int, d: int, col: np.ndarray, row_sum) -> np.ndarray:
+    """Upper bound on sign * value (sign -1 for SER) over every k-subset S
+    that extends a d-prefix P, from P's column aggregate ``col`` (and row-term
+    sum), with r = k - d inputs to add and P's share w = d / k."""
+    rows, _, finish, _ = parts
+    r, w = k - d, d / k
     if criterion == "cutoff":
-        # B(S) = B(P) + 2 sum_y c(y) sqrt(P(y|j)) + sum_y P(y|j), the middle term >= 0.
-        return rates.cutoff_bits(k, (col * col).sum(axis=-1) + (rows * rows).sum(axis=1).min())
-    value = finish(k - 1, col, None if term is None else term[pref].sum(axis=-1))
-    w = (k - 1) / k
+        # B(S) >= B(P) + sum over the r added rows of sum_y P(y|x): cross terms are >= 0.
+        return rates.cutoff_bits(k, (col * col).sum(axis=-1) + r * (rows * rows).sum(axis=1).min())
+    value = finish(d, col, row_sum)
     if criterion == "rate":
-        # A genie that tells Y whether X lies in P: I(S) <= H(1[X in P]) + w I(P).
-        return math.log2(k) - w * (math.log2(k - 1) - value)
-    # Row j adds at most its mass (1 up to rounding) to the column maxima:
-    # SER(S) >= w SER(P) + (1 - mass) / k.
-    return -(w * value + (1.0 - rows.sum(axis=1).max()) / k)
+        # A genie that tells Y whether X lies in P: I(S) <= h_b(w) + w I(P) + (1 - w) log2 r.
+        h_b = -w * math.log2(w) - (1.0 - w) * math.log2(1.0 - w)
+        return h_b + w * value + (1.0 - w) * math.log2(r)
+    # Each added row adds at most its mass (1 up to rounding) to the column
+    # maxima: SER(S) >= w SER(P) + r (1 - max mass) / k.
+    return -(w * value + r * (1.0 - rows.sum(axis=1).max()) / k)
+
+
+def _swap_descent(ch: DmcChannel, sel: np.ndarray, criterion: str) -> tuple[np.ndarray, float]:
+    """Best-improvement single-swap descent from the ascending subset ``sel``.
+    Each step scores all k (m - k) swaps as sorted rows in one stack, takes
+    the best (ties to the lowest position, then the lowest candidate) and
+    stops when none is strictly better. Returns the subset and its value."""
+    parts = rates._COLUMN_SCORERS[criterion](ch)
+    sign = -1.0 if criterion == "ser" else 1.0
+    sel = np.asarray(sel, dtype=np.intp)
+    k, n = sel.size, ch.num_inputs - sel.size
+    # Swap t puts the (t % n)-th outside input at position t // n.
+    pos, cand = np.divmod(np.arange(k * n), n)
+    cur = sign * float(rates._score(parts, sel))
+    while n:
+        outside = np.delete(np.arange(ch.num_inputs), sel)
+        swaps = np.where(np.arange(k) == pos[:, None], outside[cand, None], sel)
+        swaps.sort(axis=1)
+        vals = sign * rates._score(parts, swaps)
+        i = int(vals.argmax())
+        if not vals[i] > cur:
+            break
+        sel, cur = swaps[i], float(vals[i])
+    return sel, sign * cur
 
 
 def _scan(parts, sign: float, m: int, k: int, prefixes: np.ndarray, n_sub: int):
@@ -222,15 +275,16 @@ def exhaustive_select(
     lexicographically smallest subset (enumeration order). Guarded to at most
     10^7 candidate subsets.
 
-    Branch and bound over the (k-1)-prefixes, in two passes. Pass 1 bounds
-    every completion of each prefix P from P's own column aggregate
-    (``_prefix_bounds``); the best completion of the ``_INCUMBENT_PREFIXES``
-    best-bounded prefixes is the incumbent. Pass 2 scores, in lexicographic
-    order, every completion of each prefix whose bound is at least the
-    incumbent minus ``_BOUND_MARGIN``, which covers every optimal subset and
-    every tie. Each prefix's aggregate is folded once and extended by every
-    completion j > P[-1]; the fold order is the scorer's, so values have the
-    bits of the matching ``rates.batch_*`` call.
+    Level-by-level branch and bound over the d-prefixes of the k-subsets,
+    d = 1 .. k-1 (``_nodes``, ``_bounds``). The incumbent comes at depth
+    min(2, k-1): the ``_INCUMBENT_PREFIXES`` best-bounded nodes, descended
+    keeping that many best-bounded nodes per depth, give the best completion
+    of their (k-1)-prefixes, which ``_swap_descent`` then polishes. From that
+    depth on, a node is kept only if its bound is at least the incumbent
+    minus ``_BOUND_MARGIN``, which covers every optimal subset and every tie.
+    ``_scan`` scores every completion of the kept (k-1)-prefixes in
+    lexicographic order with the scorer's fold, so values have the bits of
+    the matching ``rates.batch_*`` call.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
@@ -240,15 +294,24 @@ def exhaustive_select(
     # Negation is exact, so maximizing sign * value keeps the values' bits.
     sign = -1.0 if criterion == "ser" else 1.0
     n_sub = max(1, _CHUNK_ENTRIES // ch.num_outputs)
-    prefixes = _prefixes(m, k)
-    bound = np.empty(prefixes.shape[0])
-    n_pref = max(1, n_sub // (k - 1))  # pass 1 gathers k - 1 rows a prefix
-    for b in range(0, prefixes.shape[0], n_pref):
-        bound[b : b + n_pref] = _prefix_bounds(parts, criterion, k, prefixes[b : b + n_pref])
-    rest = max(0, bound.size - _INCUMBENT_PREFIXES)
-    incumbent, _ = _scan(parts, sign, m, k, prefixes[np.argpartition(bound, rest)[rest:]], n_sub)
-    kept = prefixes[bound >= incumbent - _BOUND_MARGIN]
-    best_val, best_combo = _scan(parts, sign, m, k, kept, n_sub)
+
+    def top(nodes: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        rest = max(0, bound.size - _INCUMBENT_PREFIXES)
+        return nodes[np.argpartition(bound, rest)[rest:]]
+
+    first = min(2, k - 1)  # the first depth that is pruned
+    nodes = np.empty((1, 0), np.min_scalar_type(m - 1))
+    floor = -math.inf
+    for d in range(1, k):
+        nodes, bound = _nodes(parts, criterion, m, k, nodes, floor, n_sub)
+        if d == first:
+            dive = top(nodes, bound)
+            for _ in range(first + 1, k):
+                dive = top(*_nodes(parts, criterion, m, k, dive, -math.inf, n_sub))
+            _, combo = _scan(parts, sign, m, k, dive, n_sub)
+            floor = sign * _swap_descent(ch, combo, criterion)[1] - _BOUND_MARGIN
+            nodes = nodes[bound >= floor]
+    best_val, best_combo = _scan(parts, sign, m, k, nodes, n_sub)
     return SubsetMask.from_indices(m, best_combo), sign * best_val
 
 

@@ -446,6 +446,26 @@ class TestRoundSolution:
         s_vec = np.array([0.9, -0.2, 0.5, 0.1, -1.0])
         np.testing.assert_array_equal(_quantize_top_k(s_vec, 2), [1, 3])
 
+    def test_quantize_stack_matches_rows(self):
+        # A stack of candidates quantizes row by row, sign flips and ties included.
+        rng = np.random.default_rng(7)
+        stack = np.round(rng.standard_normal((40, 9)), 1)  # rounding makes ties
+        got = _quantize_top_k(stack, 3)
+        assert got.shape == (40, 3)
+        for row, want in zip(stack, got):
+            np.testing.assert_array_equal(_quantize_top_k(row, 3), want)
+
+    def test_ties_keep_the_first_candidate(self):
+        # With A = I every k-subset scores k, so the first draw's subset wins.
+        ch = small_mimo_channel(seed=415)
+        g = build_gram(ch)
+        v = psd_factorize(solve_sdp(g, k=4, tol=1e-7, max_iter=20_000))
+        cfg = RoundingConfig(n_rand=30, rng_seed=5)
+        u = np.random.default_rng([cfg.rng_seed, 0]).standard_normal(v.shape[1])
+        mask, obj = round_solution(v, 4, np.eye(g.shape[0]), cfg)
+        np.testing.assert_array_equal(mask.indices, _quantize_top_k(v.T @ (u / np.linalg.norm(u)), 4))
+        assert obj == 4.0
+
     def test_dominant_eigenvector_candidate_wins(self):
         # Desk instance 16 of the acceptance suite (T=N=2, 10 dB, K=4): the
         # deterministic candidate S e_n, the relaxed selection values, rounds

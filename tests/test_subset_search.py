@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,11 +116,15 @@ class TestExhaustiveSelect:
         np.testing.assert_array_equal(mask.indices, [0, 1, 2])
 
 
+SCORERS = {"rate": rates.batch_rate, "ser": rates.batch_ser, "cutoff": rates.batch_cutoff_rate}
+
+
 def brute_force(ch, k, criterion):
     """Every k-subset scored by the matching batch_* call; the first best wins."""
-    scorer = {"rate": rates.batch_rate, "ser": rates.batch_ser, "cutoff": rates.batch_cutoff_rate}
-    combos = np.asarray(list(itertools.combinations(range(ch.num_inputs), k)), dtype=np.intp)
-    vals = scorer[criterion](ch, combos)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(ch.num_inputs), k))
+    combos = np.fromiter(flat, np.intp).reshape(-1, k)
+    # Each row is scored on its own, so chunks only bound the memory.
+    vals = np.concatenate([SCORERS[criterion](ch, combos[s : s + 4096]) for s in range(0, len(combos), 4096)])
     i = int(vals.argmin() if criterion == "ser" else vals.argmax())
     return combos[i].tolist(), vals[i]
 
@@ -170,9 +175,16 @@ class TestExhaustiveBitIdentity:
 
     @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
     def test_weak_incumbent(self, monkeypatch, criterion):
-        # One prefix sets the incumbent and chunks hold 3 subsets, so pass 2
-        # keeps more prefixes and crosses many chunk boundaries.
+        # One node per depth makes the incumbent and no descent polishes it,
+        # and chunks hold 3 subsets, so every depth keeps more nodes and the
+        # scan crosses many chunk boundaries.
         monkeypatch.setattr(subset_search, "_INCUMBENT_PREFIXES", 1)
+        monkeypatch.setattr(
+            subset_search,
+            "_swap_descent",
+            lambda ch, sel, crit: (sel, float(SCORERS[crit](ch, np.asarray(sel, np.intp)))),
+        )
+        self.check(small_mimo_channel(64, snr_db=10.0, n=3), 4, criterion)
         for ch in (small_mimo_channel(63, snr_db=0.0), duplicated_rows_channel()):
             monkeypatch.setattr(subset_search, "_CHUNK_ENTRIES", 3 * ch.num_outputs)
             for k in (2, 3, 5):
@@ -194,6 +206,26 @@ class TestExhaustiveBitIdentity:
         # M = 64, K = 3: C(64, 3) = 41,664 subsets.
         self.check(small_mimo_channel(64, snr_db=10.0, n=3), 3, criterion)
 
+    @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
+    def test_seeded_mimo_3x3_k4(self, criterion):
+        # M = 64, K = 4: C(64, 4) = 635,376 subsets, pruned at depths 2 and 3.
+        self.check(small_mimo_channel(65, snr_db=10.0, n=3), 4, criterion)
+
+    @pytest.mark.parametrize(
+        "n, k, criterion", [(3, 5, "ser"), (4, 3, "cutoff")], ids=["m64-k5-ser", "m256-k3-cutoff"]
+    )
+    def test_traced_peak(self, n, k, criterion):
+        # Chunked extension keeps each working array near _CHUNK_ENTRIES entries.
+        ch = small_mimo_channel(66, snr_db=10.0, n=n)
+        tracemalloc.start()
+        try:
+            mask, val = exhaustive_select(ch, k, criterion)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, peak
+        assert val == SCORERS[criterion](ch, mask.indices)
+
 
 def sparse_channel():
     """Eight inputs over six outputs with exact zeros; input 5 is noiseless."""
@@ -203,21 +235,29 @@ def sparse_channel():
     return DmcChannel.from_probs(p / p.sum(axis=1, keepdims=True))
 
 
+def all_nodes(ch, k, criterion, n_sub):
+    """The nodes and bounds of every depth 1..k-1, unpruned."""
+    parts = rates._COLUMN_SCORERS[criterion](ch)
+    nodes = np.empty((1, 0), np.min_scalar_type(ch.num_inputs - 1))
+    levels = []
+    for _ in range(1, k):
+        nodes, bound = subset_search._nodes(parts, criterion, ch.num_inputs, k, nodes, -math.inf, n_sub)
+        levels.append((nodes, bound))
+    return levels
+
+
 class TestPrefixBounds:
-    """Each (K-1)-prefix bound holds for every completion of the prefix."""
+    """Each d-prefix bound, d = 1 .. K-1, holds for every completion of the prefix."""
 
     @staticmethod
     def check(ch, k, criterion):
-        pref = subset_search._prefixes(ch.num_inputs, k)
-        parts = rates._COLUMN_SCORERS[criterion](ch)
-        bound = subset_search._prefix_bounds(parts, criterion, k, pref)
-        position = {tuple(p): i for i, p in enumerate(pref.tolist())}
-        scorer = {"rate": rates.batch_rate, "ser": rates.batch_ser, "cutoff": rates.batch_cutoff_rate}
         combos = np.asarray(list(itertools.combinations(range(ch.num_inputs), k)), dtype=np.intp)
-        vals = scorer[criterion](ch, combos) * (-1.0 if criterion == "ser" else 1.0)
-        limit = bound[[position[tuple(c)] for c in combos[:, :-1].tolist()]]
-        worst = int((vals - limit).argmax())
-        assert vals[worst] <= limit[worst] + subset_search._BOUND_MARGIN, combos[worst]
+        vals = SCORERS[criterion](ch, combos) * (-1.0 if criterion == "ser" else 1.0)
+        for d, (nodes, bound) in enumerate(all_nodes(ch, k, criterion, n_sub=5), start=1):
+            position = {tuple(p): i for i, p in enumerate(nodes.tolist())}
+            limit = bound[[position[tuple(c)] for c in combos[:, :d].tolist()]]
+            worst = int((vals - limit).argmax())
+            assert vals[worst] <= limit[worst] + subset_search._BOUND_MARGIN, (d, combos[worst])
 
     @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
     def test_every_completion_under_its_bound(self, criterion):
@@ -227,10 +267,73 @@ class TestPrefixBounds:
             for k in (2, 3, ch.num_inputs - 1):
                 self.check(ch, k, criterion)
 
-    def test_prefixes_are_compact_and_lexicographic(self):
-        pref = subset_search._prefixes(64, 4)
-        assert pref.dtype == np.uint8
-        assert pref.tolist() == [list(p) for p in itertools.combinations(range(63), 3)]
+    @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
+    def test_bounds_are_tight_on_noiseless_rows(self, criterion):
+        # Disjoint one-hot rows: every subset reaches log2 K (SER 0), and so
+        # does every node's bound, at every depth.
+        want = {"rate": 2.0, "cutoff": 2.0, "ser": -0.0}[criterion]
+        for _, bound in all_nodes(DmcChannel.from_probs(np.eye(7)), 4, criterion, n_sub=5):
+            np.testing.assert_allclose(bound, want, rtol=0, atol=1e-12)
+
+    def test_nodes_are_compact_and_lexicographic(self):
+        # Depth d holds every d-subset whose last index leaves room for the
+        # k - d larger inputs still to come: the d-subsets of range(m - k + d),
+        # whatever the chunk size.
+        ch = small_mimo_channel(68, n=3)
+        for n_sub in (1, 7, 4096):
+            for d, (nodes, bound) in enumerate(all_nodes(ch, 4, "ser", n_sub), start=1):
+                assert nodes.dtype == np.uint8
+                assert nodes.tolist() == [list(p) for p in itertools.combinations(range(64 - 4 + d), d)]
+                assert bound.shape == (nodes.shape[0],)
+
+
+def reference_descent(ch, sel, criterion):
+    """Best-improvement single swaps written out: positions, then outside
+    inputs, in ascending order; a later swap wins only if strictly better."""
+    sign = -1.0 if criterion == "ser" else 1.0
+    sel = [int(x) for x in sel]
+    cur = sign * SCORERS[criterion](ch, np.asarray(sel))
+    while True:
+        best = None
+        for p in range(len(sel)):
+            for x in range(ch.num_inputs):
+                if x in sel:
+                    continue
+                cand = sorted(sel[:p] + [x] + sel[p + 1 :])
+                val = sign * SCORERS[criterion](ch, np.asarray(cand))
+                if best is None or val > best[0]:
+                    best = (val, cand)
+        if best is None or not best[0] > cur:
+            return sel, sign * cur
+        cur, sel = best
+
+
+class TestSwapDescent:
+    @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
+    def test_matches_explicit_loop(self, criterion):
+        noiseless = DmcChannel.from_probs(np.eye(4)[np.arange(12) % 4])
+        cases = [(small_mimo_channel(69), [0, 1, 2, 3]), (small_mimo_channel(70, 0.0), [3, 7, 11])]
+        cases += [(duplicated_rows_channel(), [0, 3]), (duplicated_rows_channel(), [0, 1, 3, 4])]
+        cases += [(noiseless, [0, 4, 8]), (random_channel(9, 5, seed=71), [2, 5, 6, 8])]
+        cases += [(random_channel(5, 3, seed=72), [0, 1, 2, 3, 4])]  # k = m: nothing to swap
+        for ch, start in cases:
+            sel, val = subset_search._swap_descent(ch, np.asarray(start), criterion)
+            want_sel, want_val = reference_descent(ch, start, criterion)
+            assert sel.tolist() == want_sel, (start, criterion)
+            assert val == want_val
+            assert val == SCORERS[criterion](ch, sel)
+            # No single swap is strictly better than the result.
+            _, again = reference_descent(ch, sel, criterion)
+            assert again == val
+
+    def test_ties_go_to_lowest_position_then_candidate(self):
+        # Inputs x and x + 4 share output x % 4. From [0, 4] (both output 0),
+        # every swap that brings in another output reaches 1 bit; position 0
+        # with the smallest outside input, 1, comes first.
+        ch = DmcChannel.from_probs(np.eye(4)[np.arange(12) % 4])
+        sel, val = subset_search._swap_descent(ch, np.array([0, 4]), "rate")
+        assert sel.tolist() == [1, 4]
+        assert val == 1.0
 
 
 class TestBsaSelect:
