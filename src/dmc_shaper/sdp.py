@@ -375,6 +375,11 @@ def psd_factorize(sol: SdpSolution) -> np.ndarray:
     return _to_full(roots, orbits)
 
 
+# Float64 entries in one block of rounding candidates, so memory does not
+# grow with n_rand (about 15 candidates at M = 256, K = 64).
+_ROUND_BLOCK_ENTRIES = 2**16
+
+
 def _quantize_top_k(s_vec: np.ndarray, k: int) -> np.ndarray:
     """Sign-normalize each candidate (last axis) on its slack entry, then
     select the k largest of its first M entries (ties to the smallest index)."""
@@ -395,8 +400,9 @@ def round_solution(
     are s = V^T u for ``cfg.n_rand`` unit-sphere draws u (one stream per
     draw index), then V^T V e_n = S e_n, the relaxed selection values S_in
     (they sum to k), which for a rank-one S points along its dominant
-    eigenvector. All are quantized and scored by b^T A b in one stack; the
-    first strict minimum wins.
+    eigenvector. They are drawn, quantized and scored by b^T A b in blocks
+    of about ``_ROUND_BLOCK_ENTRIES`` working entries; the first strict
+    minimum wins.
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[1]
@@ -408,16 +414,24 @@ def round_solution(
         raise ValueError(f"k must be in [2, {m}], got {k}")
     _check_gram(a)
 
-    s_vecs = np.empty((cfg.n_rand + 1, n))
-    for i in range(cfg.n_rand):
+    def candidate(i: int) -> np.ndarray:
+        if i == cfg.n_rand:
+            return v.T @ v[:, -1]
         u = np.random.default_rng([cfg.rng_seed, i]).standard_normal(n)
         # One product per draw: a stacked product would sum in another order.
-        s_vecs[i] = v.T @ (u / np.linalg.norm(u))
-    s_vecs[-1] = v.T @ v[:, -1]
-    chosen = _quantize_top_k(s_vecs, k)
-    objs = a[chosen[:, :, None], chosen[:, None, :]].reshape(len(chosen), k * k).sum(axis=1)
-    best = int(objs.argmin())  # the first strict minimum
-    return SubsetMask.from_indices(m, chosen[best]), float(objs[best])
+        return v.T @ (u / np.linalg.norm(u))
+
+    # A candidate holds n draw entries and k * k gathered Gram entries.
+    size = max(1, _ROUND_BLOCK_ENTRIES // (n + k * k))
+    best_obj, best = math.inf, None
+    for start in range(0, cfg.n_rand + 1, size):
+        block = range(start, min(start + size, cfg.n_rand + 1))
+        chosen = _quantize_top_k(np.array([candidate(i) for i in block]), k)
+        objs = a[chosen[:, :, None], chosen[:, None, :]].reshape(len(chosen), k * k).sum(axis=1)
+        i = int(objs.argmin())  # the first strict minimum
+        if objs[i] < best_obj:
+            best_obj, best = float(objs[i]), chosen[i]
+    return SubsetMask.from_indices(m, best), best_obj
 
 
 @dataclass(frozen=True)

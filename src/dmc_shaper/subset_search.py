@@ -7,18 +7,19 @@ the outside candidate that lowers the total SER the most, falling back to the
 next-costliest symbol when no improving swap exists.
 
 Exhaustive search is exact branch and bound, level by level over the
-d-prefixes P of the K-subsets (d = 1 .. K-1, lexicographic order, each with
-room for K - d larger inputs). A child's column aggregate is its parent's
-folded with one more row, and it bounds every completion S of P, with
-r = K - d rows still to add and w = d/K: rate I(S) <= h_b(w) + w I(P) +
-(1 - w) log2 r (a genie tells whether X lies in P), SER(S) >= w SER(P) +
-r (1 - max_x sum_y P(y|x)) / K, and Bhattacharyya sum
-B(S) >= B(P) + r min_x sum_y P(y|x). The incumbent is a short dive from depth
+d-prefixes P of the K-subsets (d = 1 .. K, lexicographic order, each with
+room for K - d larger inputs); depth K is the leaf level, the K-subsets
+themselves. A child's column aggregate is its parent's folded with one more
+row, and it bounds every completion S of P, with r = K - d rows still to add
+and w = d/K: rate I(S) <= h_b(w) + w I(P) + (1 - w) log2 r (a genie tells
+whether X lies in P), SER(S) >= w SER(P) + r (1 - max_x sum_y P(y|x)) / K,
+and Bhattacharyya sum B(S) >= B(P) + r min_x sum_y P(y|x); at r = 0 each
+bound is the subset's value. The incumbent is a short dive from depth
 min(2, K-1), polished by single swaps; every depth from there keeps only the
-nodes whose bound reaches it (less a 1e-9 margin for rounding). The kept
-(K-1)-prefixes are scored in lexicographic order with the same arithmetic
-as scoring every subset, so the optimum, its ties and its bits are those of
-the full enumeration.
+nodes whose bound reaches it (less a 1e-9 margin for rounding). The leaves
+are scored in lexicographic order with the same arithmetic as scoring every
+subset, so the first best leaf and its value's bits are those of the full
+enumeration, whose ties go to the lexicographically smallest subset.
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ def _nodes(parts, criterion: str, m: int, k: int, nodes: np.ndarray, floor: floa
     ``floor``, and their bounds. A child appends one index j > P[-1] that
     leaves room for the k - d - 1 larger inputs still to come; children come
     in lexicographic order, built and bounded for chunks of parents with
-    about ``n_sub`` children at a time."""
+    about ``n_sub`` children at a time. At depth k a child is a k-subset and
+    its bound is its value; each chunk keeps only its first best one."""
     rows, fold, _, term = parts
     d = nodes.shape[1]
     last = nodes[:, -1].astype(np.intp) if d else np.full(1, -1)
@@ -180,11 +182,14 @@ def _nodes(parts, criterion: str, m: int, k: int, nodes: np.ndarray, floor: floa
             agg = fold(agg, rows[pref[:, i]])
         # Row-major order of the (parent, j) grid: parent by parent, j ascending.
         owner, after = np.nonzero(np.arange(m - k + d + 1) > last[a:b, None])
-        col = fold(agg[owner], rows[after])
-        row_sum = None if term is None else term[pref].sum(axis=-1)[owner] + term[after]
+        children = np.column_stack((pref[owner], after.astype(nodes.dtype)))
+        col = agg[owner]
+        fold(col, rows[after], out=col)
+        # Summing each child's whole row of terms has the bits of rates._score.
+        row_sum = None if term is None else term[children].sum(axis=-1)
         bound = _bounds(parts, criterion, k, d + 1, col, row_sum)
-        keep = bound >= floor
-        kept_nodes.append(np.concatenate((pref[owner[keep]], after[keep, None].astype(nodes.dtype)), axis=1))
+        keep = bound >= floor if d + 1 < k else np.arange(bound.size) == bound.argmax()
+        kept_nodes.append(children[keep])
         kept_bounds.append(bound[keep])
         a = b
     return np.concatenate(kept_nodes), np.concatenate(kept_bounds)
@@ -193,7 +198,8 @@ def _nodes(parts, criterion: str, m: int, k: int, nodes: np.ndarray, floor: floa
 def _bounds(parts, criterion: str, k: int, d: int, col: np.ndarray, row_sum) -> np.ndarray:
     """Upper bound on sign * value (sign -1 for SER) over every k-subset S
     that extends a d-prefix P, from P's column aggregate ``col`` (and row-term
-    sum), with r = k - d inputs to add and P's share w = d / k."""
+    sum), with r = k - d inputs to add and P's share w = d / k. At d = k each
+    form reduces to sign * value with its bits."""
     rows, _, finish, _ = parts
     r, w = k - d, d / k
     if criterion == "cutoff":
@@ -201,6 +207,8 @@ def _bounds(parts, criterion: str, k: int, d: int, col: np.ndarray, row_sum) -> 
         return rates.cutoff_bits(k, (col * col).sum(axis=-1) + r * (rows * rows).sum(axis=1).min())
     value = finish(d, col, row_sum)
     if criterion == "rate":
+        if r == 0:  # the genie term would take log2 0
+            return value
         # A genie that tells Y whether X lies in P: I(S) <= h_b(w) + w I(P) + (1 - w) log2 r.
         h_b = -w * math.log2(w) - (1.0 - w) * math.log2(1.0 - w)
         return h_b + w * value + (1.0 - w) * math.log2(r)
@@ -233,39 +241,6 @@ def _swap_descent(ch: DmcChannel, sel: np.ndarray, criterion: str) -> tuple[np.n
     return sel, sign * cur
 
 
-def _scan(parts, sign: float, m: int, k: int, prefixes: np.ndarray, n_sub: int):
-    """Best sign * value over every completion j > prefix[-1] of each row of
-    ``prefixes``, and its subset: the first visited among equals, so the
-    lexicographically smallest when the rows are in lexicographic order."""
-    rows, fold, finish, term = parts
-    best_val = -math.inf
-    best_combo: np.ndarray | None = None
-    # A prefix has at most m - k + 1 completions and k - 1 rows to fold.
-    n_pref = max(1, n_sub // max(k - 1, m - k + 1))
-    for b in range(0, prefixes.shape[0], n_pref):
-        pref = prefixes[b : b + n_pref].astype(np.intp)
-        partial = fold.reduce(rows[pref], axis=-2)
-        last = pref[:, -1]
-        counts = m - 1 - last
-        # Flat lexicographic order: prefix by prefix, completions ascending.
-        owner = np.repeat(np.arange(pref.shape[0]), counts)
-        start = np.cumsum(counts) - counts
-        after = np.arange(owner.size) + np.repeat(last + 1 - start, counts)
-        for s in range(0, owner.size, n_sub):
-            o, j = owner[s : s + n_sub], after[s : s + n_sub]
-            col = partial[o]
-            fold(col, rows[j], out=col)
-            # Only a row term needs the subsets' indices; the rest, only the winner's.
-            row_sum = None if term is None else term[np.column_stack((pref[o], j))].sum(axis=-1)
-            vals = sign * finish(k, col, row_sum)
-            i = int(vals.argmax())
-            if vals[i] > best_val:
-                best_val = float(vals[i])
-                best_combo = np.append(pref[o[i]], j[i])
-    assert best_combo is not None
-    return best_val, best_combo
-
-
 def exhaustive_select(
     ch: DmcChannel, k: int, criterion: str
 ) -> tuple[SubsetMask, float]:
@@ -276,15 +251,16 @@ def exhaustive_select(
     10^7 candidate subsets.
 
     Level-by-level branch and bound over the d-prefixes of the k-subsets,
-    d = 1 .. k-1 (``_nodes``, ``_bounds``). The incumbent comes at depth
+    d = 1 .. k (``_nodes``, ``_bounds``); depth k holds the subsets
+    themselves, bounded by their values. The incumbent comes at depth
     min(2, k-1): the ``_INCUMBENT_PREFIXES`` best-bounded nodes, descended
-    keeping that many best-bounded nodes per depth, give the best completion
-    of their (k-1)-prefixes, which ``_swap_descent`` then polishes. From that
-    depth on, a node is kept only if its bound is at least the incumbent
-    minus ``_BOUND_MARGIN``, which covers every optimal subset and every tie.
-    ``_scan`` scores every completion of the kept (k-1)-prefixes in
-    lexicographic order with the scorer's fold, so values have the bits of
-    the matching ``rates.batch_*`` call.
+    keeping that many best-bounded nodes per depth, give the best subset
+    below them, which ``_swap_descent`` then polishes. From that depth on, a
+    node is kept only if its bound is at least the incumbent minus
+    ``_BOUND_MARGIN``, which covers every optimal subset and every tie. The
+    leaves are scored in lexicographic order with the scorer's fold, so the
+    first best is the smallest optimum and its value has the bits of the
+    matching ``rates.batch_*`` call.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
@@ -302,17 +278,17 @@ def exhaustive_select(
     first = min(2, k - 1)  # the first depth that is pruned
     nodes = np.empty((1, 0), np.min_scalar_type(m - 1))
     floor = -math.inf
-    for d in range(1, k):
+    for d in range(1, k + 1):
         nodes, bound = _nodes(parts, criterion, m, k, nodes, floor, n_sub)
         if d == first:
             dive = top(nodes, bound)
             for _ in range(first + 1, k):
                 dive = top(*_nodes(parts, criterion, m, k, dive, -math.inf, n_sub))
-            _, combo = _scan(parts, sign, m, k, dive, n_sub)
-            floor = sign * _swap_descent(ch, combo, criterion)[1] - _BOUND_MARGIN
+            leaves, value = _nodes(parts, criterion, m, k, dive, -math.inf, n_sub)
+            floor = sign * _swap_descent(ch, leaves[value.argmax()], criterion)[1] - _BOUND_MARGIN
             nodes = nodes[bound >= floor]
-    best_val, best_combo = _scan(parts, sign, m, k, nodes, n_sub)
-    return SubsetMask.from_indices(m, best_combo), sign * best_val
+    best = int(bound.argmax())
+    return SubsetMask.from_indices(m, nodes[best]), sign * float(bound[best])
 
 
 def evaluate_mask(ch: DmcChannel, mask: SubsetMask) -> dict[str, float]:

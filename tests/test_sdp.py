@@ -7,10 +7,12 @@ subsets; algebraic identities of the lift are checked on random points.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from dmc_shaper import (
     exhaustive_select,
     psd_factorize,
     round_solution,
+    save_channel,
     sdp_select,
     solve_sdp,
 )
@@ -295,6 +298,27 @@ class TestAndersonAcceleration:
             outputs.add(proc.stdout)
         assert len(outputs) == 1
 
+    def test_plain_path_masks_do_not_depend_on_blas_threads(self, tmp_path):
+        # Relabelled inputs hide the rotation, so the M = 256 solve takes the
+        # plain path, whose s_hat bits move with the thread count (257-wide
+        # eigh, solve and @). The rounded mask and its cutoff must not.
+        ch = build_quantized_mimo(example_h4x4(), SnrPoint.from_db(10.0))
+        ch = DmcChannel.from_probs(ch.trans[np.random.default_rng(7).permutation(256)])
+        assert _input_orbits(build_gram(ch)).shape == (256, 1)
+        path = tmp_path / "ch.json"
+        save_channel(ch, path)
+        src = str(Path(sdp.__file__).resolve().parents[1])
+        outputs = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "dmc_shaper", "select", "sdp", "--channel", str(path), "--k", "16"],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            doc = json.loads(proc.stdout)
+            outputs.add((tuple(doc["mask"]), doc["cutoff_rate_bits"]))
+        assert len(outputs) == 1, outputs
+
 
 class TestInteriorPoint:
     @pytest.mark.parametrize("r", [1, 4])
@@ -406,7 +430,41 @@ class TestPsdFactorize:
             psd_factorize(self._sol(s))
 
 
+@pytest.fixture(scope="module")
+def bundled_k64():
+    """Gram matrix and solution factor of the bundled H at 10 dB, K = 64."""
+    a = build_gram(build_quantized_mimo(example_h4x4(), SnrPoint.from_db(10.0)))
+    return a, psd_factorize(solve_sdp(a, 64, tol=1e-4))
+
+
 class TestRoundSolution:
+    def test_traced_peak_does_not_grow_with_draws(self, bundled_k64):
+        # One stack of all 4,001 candidates' K x K Gram gathers took 135 MiB.
+        a, v = bundled_k64
+        tracemalloc.start()
+        try:
+            round_solution(v, 64, a, RoundingConfig(n_rand=4000, rng_seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+    @pytest.mark.parametrize("k", [16, 64])
+    @pytest.mark.parametrize("gram", ["bundled", "identity"])
+    def test_block_size_keeps_mask_and_objective(self, monkeypatch, bundled_k64, k, gram):
+        # Any factor serves for any k. With A = I every candidate scores k,
+        # so the first candidate must win across blocks too.
+        a, v = bundled_k64
+        a = a if gram == "bundled" else np.eye(256)
+        cfg = RoundingConfig(n_rand=300, rng_seed=4)
+        results = set()
+        # Candidates per block: 1, 2, some, all at once.
+        for entries in (1, 2 * (257 + k * k), 2**16, 10**9):
+            monkeypatch.setattr(sdp, "_ROUND_BLOCK_ENTRIES", entries)
+            mask, obj = round_solution(v, k, a, cfg)
+            results.add((tuple(mask.indices.tolist()), obj.hex()))
+        assert len(results) == 1, results
+
     def test_top_k_quantization(self):
         # Rank-one solution: every draw reproduces the underlying point,
         # whose first-M entries are [0.9, -0.2, 0.5, 0.1].

@@ -212,11 +212,18 @@ class TestExhaustiveBitIdentity:
         self.check(small_mimo_channel(65, snr_db=10.0, n=3), 4, criterion)
 
     @pytest.mark.parametrize(
-        "n, k, criterion", [(3, 5, "ser"), (4, 3, "cutoff")], ids=["m64-k5-ser", "m256-k3-cutoff"]
+        "n, k, criterion",
+        [(3, 5, "ser"), (4, 3, "cutoff")] + [(None, 3, c) for c in subset_search.CRITERIA],
+        ids=["m64-k5-ser", "m256-k3-cutoff"] + [f"ties-m256-k3-{c}" for c in subset_search.CRITERIA],
     )
     def test_traced_peak(self, n, k, criterion):
-        # Chunked extension keeps each working array near _CHUNK_ENTRIES entries.
-        ch = small_mimo_channel(66, snr_db=10.0, n=n)
+        # Chunked extension keeps each working array near _CHUNK_ENTRIES
+        # entries. With n None all 256 rows are equal, so no node is pruned
+        # and all C(256, 3) subsets tie; each chunk keeps one leaf.
+        if n is None:
+            ch = DmcChannel.from_probs(np.full((256, 4), 0.25))
+        else:
+            ch = small_mimo_channel(66, snr_db=10.0, n=n)
         tracemalloc.start()
         try:
             mask, val = exhaustive_select(ch, k, criterion)
@@ -225,6 +232,8 @@ class TestExhaustiveBitIdentity:
             tracemalloc.stop()
         assert peak <= 16 * 2**20, peak
         assert val == SCORERS[criterion](ch, mask.indices)
+        if n is None:
+            assert mask.indices.tolist() == [0, 1, 2]
 
 
 def sparse_channel():
@@ -247,7 +256,8 @@ def all_nodes(ch, k, criterion, n_sub):
 
 
 class TestPrefixBounds:
-    """Each d-prefix bound, d = 1 .. K-1, holds for every completion of the prefix."""
+    """Each d-prefix bound, d = 1 .. K-1, holds for every completion of the
+    prefix; at d = K the bound is the subset's value."""
 
     @staticmethod
     def check(ch, k, criterion):
@@ -274,6 +284,29 @@ class TestPrefixBounds:
         want = {"rate": 2.0, "cutoff": 2.0, "ser": -0.0}[criterion]
         for _, bound in all_nodes(DmcChannel.from_probs(np.eye(7)), 4, criterion, n_sub=5):
             np.testing.assert_allclose(bound, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("criterion", subset_search.CRITERIA)
+    def test_leaf_is_first_best_completion(self, criterion):
+        # Depth k: one chunk per parent (n_sub = 1) keeps the parent's first
+        # best completion, bounded by its value with the bits of rates.batch_*.
+        # From k = 8 on, numpy sums the rate's k row terms pairwise, which a
+        # prefix's sum plus one more term does not match at k = 8 or 16.
+        sign = -1.0 if criterion == "ser" else 1.0
+        cases = [(small_mimo_channel(60, snr_db=-5.0), k) for k in (2, 5, 8, 9, 15, 16)]
+        cases += [(duplicated_rows_channel(), 3), (sparse_channel(), 4)]
+        for ch, k in cases:
+            m = ch.num_inputs
+            combos = np.asarray(list(itertools.combinations(range(m), k)), dtype=np.intp)
+            vals = sign * SCORERS[criterion](ch, combos)
+            best = {}
+            for combo, val in zip(map(tuple, combos.tolist()), vals):
+                if combo[:-1] not in best or val > best[combo[:-1]][1]:
+                    best[combo[:-1]] = (combo, val)
+            prefixes = np.asarray(list(best), dtype=np.uint8)
+            parts = rates._COLUMN_SCORERS[criterion](ch)
+            leaves, bound = subset_search._nodes(parts, criterion, m, k, prefixes, -math.inf, 1)
+            assert [tuple(leaf) for leaf in leaves.tolist()] == [c for c, _ in best.values()], k
+            assert bound.tobytes() == np.array([v for _, v in best.values()]).tobytes(), k
 
     def test_nodes_are_compact_and_lexicographic(self):
         # Depth d holds every d-subset whose last index leaves room for the
