@@ -13,7 +13,10 @@ aggregate (sum, sum of square roots, maximum) and finish from it; exhaustive
 search builds the same aggregate one row at a time and calls the same finish.
 The per-input misdetection costs have one formula too, ``_column_state``, which
 also gives each output's best and second-best selected row; binary switching
-reads it once per pass and scores each swap with the SER fold and finish.
+reads it once per pass and scores each swap with the SER fold and finish. In
+large searches it first bounds the swaps from the same best and second-best
+rows and scores with the fold and finish only the swaps that the bound, less
+a 1e-9 margin, cannot rule out; the SER bits stay those of ``batch_ser``.
 The rate is log2 K + (sum_{x in S} r(x) - sum_y d(y) ln d(y)) / (K ln 2) with
 the row term r(x) = sum_y P(y|x) ln P(y|x) and d(y) = sum_{x in S} P(y|x).
 

@@ -4,7 +4,14 @@ exhaustive enumeration.
 The local search (binary switching) targets the ML symbol error rate: it
 repeatedly replaces the selected symbol with the highest misdetection cost by
 the outside candidate that lowers the total SER the most, falling back to the
-next-costliest symbol when no improving swap exists.
+next-costliest symbol when no improving swap exists. Once one full pass would
+score K (M - K) L entries or more (2^19), each position is screened first: an
+upper bound on every candidate's swap score, built from a per-input gain
+vector kept across passes and the columns the position owns, skips a position
+that cannot beat the current SER by the 1e-9 margin, and otherwise only the
+candidates within twice the margin of the best bound are scored exactly. The
+bounds' rounding (about 1e-14) is far below the margin, so the masks and SER
+bits are those of scoring every swap.
 
 Exhaustive search is exact branch and bound, level by level over the
 d-prefixes P of the K-subsets (d = 1 .. K, lexicographic order, each with
@@ -44,9 +51,17 @@ _CHUNK_ENTRIES = 2**16
 # Exhaustive search dives for its incumbent with this many best-bounded nodes
 # per depth.
 _INCUMBENT_PREFIXES = 16
-# Slack on a prefix bound, in the criterion's units: it covers the rounding
-# of a bound and of a value (about 1e-15 each), so no tie is pruned.
+# Slack on a bound, in its own units (a criterion's value, or a switching
+# screen's column-maxima sum): it covers the rounding of a bound and of a
+# value (about 1e-15 and 1e-14), so no tie is pruned.
 _BOUND_MARGIN = 1e-9
+# Binary switching screens its swaps (``_Screen``) once one full pass would
+# score K (M - K) L entries or more. On a 2-core x86 VM (3 random channels at
+# 10 dB, 20 restarts, best of 3), plain -> screened took 9.9 -> 17.8 ms at
+# M = 16, K = 4; 17 -> 30, 50 -> 77 and 78 -> 118 ms at M = 64, K = 4, 16, 32;
+# and at M = 256, 89 -> 131 ms at K = 4, 165 -> 158 at K = 8 (507,904
+# entries), 374 -> 245 at K = 16, 856 -> 417 at K = 32 and 1712 -> 719 at K = 64.
+_SCREEN_MIN_ENTRIES = 2**19
 
 
 @dataclass(frozen=True)
@@ -94,26 +109,84 @@ def check_exhaustive_size(m: int, k: int) -> None:
         )
 
 
+class _Screen:
+    """Upper bounds on the swap scores of one switching descent, kept across
+    its passes. A swap of position j for candidate c scores S_c(j) =
+    sum_y max(base_j(y), P(y|c)), where base_j is the column maxima of the
+    subset without j: ``second`` on the outputs j owns, ``best`` elsewhere.
+    With the gain G_c = sum_y max(0, P(y|c) - best(y)) kept for every input,
+    S_c(j) = sum best + G_c - sum_{y owned by j} [best(y) - clip(P(y|c),
+    second(y), best(y))], which reads only the columns j owns."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.cols = np.ascontiguousarray(rows.T)  # row y holds P(y|x) of every x
+        self.best: np.ndarray | None = None  # what the gains were computed against
+
+    def refresh(self, best: np.ndarray, inside: np.ndarray) -> None:
+        """Move the gains to the column maxima ``best`` of the subset marked
+        by ``inside``, recomputing them only on the outputs whose maximum
+        changed."""
+        if self.best is None:
+            self.gain = np.maximum(self.cols - best[:, None], 0.0).sum(axis=0)
+        else:
+            changed = np.flatnonzero(best != self.best)
+            cols = self.cols[changed]
+            self.gain += np.maximum(cols - best[changed, None], 0.0).sum(axis=0)
+            self.gain -= np.maximum(cols - self.best[changed, None], 0.0).sum(axis=0)
+        self.best = best
+        # Inputs in the subset are no candidates.
+        self.offset = np.where(inside, -np.inf, self.gain + best.sum())
+
+    def bounds(self, own: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """S_c(j) up to rounding for every input c outside the subset (-inf
+        inside), j the position that owns the outputs ``own``."""
+        best = self.best[own]
+        kept = np.maximum(self.cols[own], second[own, None])
+        np.minimum(kept, best[:, None], out=kept)
+        return kept.sum(axis=0) + self.offset - best.sum()
+
+
 def _local_search(
     ch: DmcChannel, inside: np.ndarray, cur: float
 ) -> tuple[np.ndarray, float, bool]:
     """Run switching passes on the membership vector ``inside``, whose subset
     has SER ``cur``, until no swap improves, or ``_MAX_PASSES`` passes have
-    run (reported as truncated). Updates ``inside`` in place."""
+    run (reported as truncated). Updates ``inside`` in place.
+
+    Searches of ``_SCREEN_MIN_ENTRIES`` or more bound each position's swap
+    scores with a ``_Screen`` first: they skip a position whose best bound is
+    more than ``_BOUND_MARGIN`` short of the current score K (1 - cur), and
+    score only the candidates within twice the margin of that bound."""
     rows, fold, finish, _ = rates._ser_parts(ch)
+    k = np.count_nonzero(inside)
+    screen = None
+    if k * (ch.num_inputs - k) * ch.num_outputs >= _SCREEN_MIN_ENTRIES:
+        screen = _Screen(rows)
     passes = 0
     while True:
         sel, outside = np.flatnonzero(inside), np.flatnonzero(~inside)
         owner, best, second, costs = rates._column_state(ch, sel)
-        # A swap ends the pass, so the candidates' rows are fixed within it.
-        candidates = rows[outside]
+        if screen is None:
+            # A swap ends the pass, so the candidates' rows are fixed within it.
+            pool, candidates = outside, rows[outside]
+        else:
+            screen.refresh(best, inside)
+            target = k * (1.0 - cur) - _BOUND_MARGIN
         # Highest cost first; position index breaks ties (sel is ascending).
-        for j in np.lexsort((np.arange(sel.size), -costs)):
-            sers = finish(sel.size, fold(np.where(owner == j, second, best), candidates), None)
+        for j in np.lexsort((np.arange(k), -costs)):
+            owned = owner == j
+            if screen is not None:
+                bound = screen.bounds(np.flatnonzero(owned), second)
+                top = bound.max()
+                if top < target:
+                    continue
+                pool = np.flatnonzero(bound >= top - 2.0 * _BOUND_MARGIN)
+                candidates = rows[pool]
+            sers = finish(k, fold(np.where(owned, second, best), candidates), None)
             c = int(sers.argmin())
             if sers[c] < cur:
                 inside[sel[j]] = False
-                inside[outside[c]] = True
+                inside[pool[c]] = True
                 cur = float(sers[c])
                 break
         else:
@@ -158,13 +231,14 @@ def bsa_select(ch: DmcChannel, cfg: BsaConfig) -> BsaResult:
     )
 
 
-def _nodes(parts, criterion: str, m: int, k: int, nodes: np.ndarray, floor: float, n_sub: int):
+def _nodes(parts, criterion: str, step, m: int, k: int, nodes: np.ndarray, floor: float, n_sub: int):
     """The children of the d-prefix rows of ``nodes`` whose bound reaches
     ``floor``, and their bounds. A child appends one index j > P[-1] that
     leaves room for the k - d - 1 larger inputs still to come; children come
     in lexicographic order, built and bounded for chunks of parents with
     about ``n_sub`` children at a time. At depth k a child is a k-subset and
-    its bound is its value; each chunk keeps only its first best one."""
+    its bound is its value; each chunk keeps only its first best one.
+    ``step`` is ``_row_step(parts, criterion)``."""
     rows, fold, _, term = parts
     d = nodes.shape[1]
     last = nodes[:, -1].astype(np.intp) if d else np.full(1, -1)
@@ -187,7 +261,7 @@ def _nodes(parts, criterion: str, m: int, k: int, nodes: np.ndarray, floor: floa
         fold(col, rows[after], out=col)
         # Summing each child's whole row of terms has the bits of rates._score.
         row_sum = None if term is None else term[children].sum(axis=-1)
-        bound = _bounds(parts, criterion, k, d + 1, col, row_sum)
+        bound = _bounds(parts, criterion, step, k, d + 1, col, row_sum)
         keep = bound >= floor if d + 1 < k else np.arange(bound.size) == bound.argmax()
         kept_nodes.append(children[keep])
         kept_bounds.append(bound[keep])
@@ -195,16 +269,29 @@ def _nodes(parts, criterion: str, m: int, k: int, nodes: np.ndarray, floor: floa
     return np.concatenate(kept_nodes), np.concatenate(kept_bounds)
 
 
-def _bounds(parts, criterion: str, k: int, d: int, col: np.ndarray, row_sum) -> np.ndarray:
+def _row_step(parts, criterion: str):
+    """The channel-wide term of each row still to add in ``_bounds``: the
+    least sum_y P(y|x) over the inputs for the cutoff, one less the largest
+    row mass for SER, None for the rate."""
+    rows = parts[0]
+    if criterion == "cutoff":
+        return (rows * rows).sum(axis=1).min()
+    if criterion == "ser":
+        return 1.0 - rows.sum(axis=1).max()
+    return None
+
+
+def _bounds(parts, criterion: str, step, k: int, d: int, col: np.ndarray, row_sum) -> np.ndarray:
     """Upper bound on sign * value (sign -1 for SER) over every k-subset S
     that extends a d-prefix P, from P's column aggregate ``col`` (and row-term
     sum), with r = k - d inputs to add and P's share w = d / k. At d = k each
-    form reduces to sign * value with its bits."""
-    rows, _, finish, _ = parts
+    form reduces to sign * value with its bits. ``step`` is
+    ``_row_step(parts, criterion)``."""
+    finish = parts[2]
     r, w = k - d, d / k
     if criterion == "cutoff":
         # B(S) >= B(P) + sum over the r added rows of sum_y P(y|x): cross terms are >= 0.
-        return rates.cutoff_bits(k, (col * col).sum(axis=-1) + r * (rows * rows).sum(axis=1).min())
+        return rates.cutoff_bits(k, (col * col).sum(axis=-1) + r * step)
     value = finish(d, col, row_sum)
     if criterion == "rate":
         if r == 0:  # the genie term would take log2 0
@@ -214,7 +301,7 @@ def _bounds(parts, criterion: str, k: int, d: int, col: np.ndarray, row_sum) -> 
         return h_b + w * value + (1.0 - w) * math.log2(r)
     # Each added row adds at most its mass (1 up to rounding) to the column
     # maxima: SER(S) >= w SER(P) + r (1 - max mass) / k.
-    return -(w * value + r * (1.0 - rows.sum(axis=1).max()) / k)
+    return -(w * value + r * step / k)
 
 
 def _swap_descent(ch: DmcChannel, sel: np.ndarray, criterion: str) -> tuple[np.ndarray, float]:
@@ -269,6 +356,7 @@ def exhaustive_select(
     parts = rates._COLUMN_SCORERS[criterion](ch)
     # Negation is exact, so maximizing sign * value keeps the values' bits.
     sign = -1.0 if criterion == "ser" else 1.0
+    step = _row_step(parts, criterion)
     n_sub = max(1, _CHUNK_ENTRIES // ch.num_outputs)
 
     def top(nodes: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -279,12 +367,12 @@ def exhaustive_select(
     nodes = np.empty((1, 0), np.min_scalar_type(m - 1))
     floor = -math.inf
     for d in range(1, k + 1):
-        nodes, bound = _nodes(parts, criterion, m, k, nodes, floor, n_sub)
+        nodes, bound = _nodes(parts, criterion, step, m, k, nodes, floor, n_sub)
         if d == first:
             dive = top(nodes, bound)
             for _ in range(first + 1, k):
-                dive = top(*_nodes(parts, criterion, m, k, dive, -math.inf, n_sub))
-            leaves, value = _nodes(parts, criterion, m, k, dive, -math.inf, n_sub)
+                dive = top(*_nodes(parts, criterion, step, m, k, dive, -math.inf, n_sub))
+            leaves, value = _nodes(parts, criterion, step, m, k, dive, -math.inf, n_sub)
             floor = sign * _swap_descent(ch, leaves[value.argmax()], criterion)[1] - _BOUND_MARGIN
             nodes = nodes[bound >= floor]
     best = int(bound.argmax())

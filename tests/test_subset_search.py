@@ -18,6 +18,7 @@ from dmc_shaper import (
     bsa_select,
     build_quantized_mimo,
     cutoff_rate,
+    example_h4x4,
     exhaustive_select,
     rates,
     ser_ml,
@@ -247,10 +248,11 @@ def sparse_channel():
 def all_nodes(ch, k, criterion, n_sub):
     """The nodes and bounds of every depth 1..k-1, unpruned."""
     parts = rates._COLUMN_SCORERS[criterion](ch)
+    step = subset_search._row_step(parts, criterion)
     nodes = np.empty((1, 0), np.min_scalar_type(ch.num_inputs - 1))
     levels = []
     for _ in range(1, k):
-        nodes, bound = subset_search._nodes(parts, criterion, ch.num_inputs, k, nodes, -math.inf, n_sub)
+        nodes, bound = subset_search._nodes(parts, criterion, step, ch.num_inputs, k, nodes, -math.inf, n_sub)
         levels.append((nodes, bound))
     return levels
 
@@ -304,7 +306,8 @@ class TestPrefixBounds:
                     best[combo[:-1]] = (combo, val)
             prefixes = np.asarray(list(best), dtype=np.uint8)
             parts = rates._COLUMN_SCORERS[criterion](ch)
-            leaves, bound = subset_search._nodes(parts, criterion, m, k, prefixes, -math.inf, 1)
+            step = subset_search._row_step(parts, criterion)
+            leaves, bound = subset_search._nodes(parts, criterion, step, m, k, prefixes, -math.inf, 1)
             assert [tuple(leaf) for leaf in leaves.tolist()] == [c for c, _ in best.values()], k
             assert bound.tobytes() == np.array([v for _, v in best.values()]).tobytes(), k
 
@@ -452,8 +455,10 @@ def reference_bsa(ch, cfg):
             costs = sub.sum(axis=1) - won
             outside = [x for x in range(m) if x not in sel]
             for j in np.lexsort((np.arange(k), -costs)):
-                swapped = np.sort([np.append(np.delete(sel, j), x) for x in outside], axis=1)
-                sers = rates.batch_ser(ch, swapped)
+                rest = np.broadcast_to(np.delete(sel, j), (len(outside), k - 1))
+                swapped = np.sort(np.column_stack((rest, outside)), axis=1)
+                # Each row is scored on its own; chunks of 8 keep the gather in cache.
+                sers = np.concatenate([rates.batch_ser(ch, swapped[s : s + 8]) for s in range(0, len(swapped), 8)])
                 c = int(sers.argmin())
                 if sers[c] < cur:
                     sel, cur = swapped[c], float(sers[c])
@@ -470,20 +475,81 @@ def reference_bsa(ch, cfg):
     return best_sel.tolist(), best_ser, truncated, tuple(initial), tuple(final)
 
 
-class TestBsaMatchesReference:
-    """bsa_select must return every field of the plain reference, bit for bit."""
+def bundled_channel(snr_db):
+    return build_quantized_mimo(example_h4x4(), SnrPoint.from_db(snr_db))
 
-    @pytest.mark.parametrize("max_passes", [None, 1, 2])
-    def test_fields_equal(self, monkeypatch, max_passes):
-        if max_passes is not None:
-            monkeypatch.setattr(subset_search, "_MAX_PASSES", max_passes)
-        cases = [(small_mimo_channel(seed=s), k, s) for s in (50, 51, 52) for k in (3, 4, 8)]
-        cases += [(small_mimo_channel(seed=s, n=3), k, s) for s in (53, 54) for k in (4, 12)]
-        cases += [(duplicated_rows_channel(), k, s) for s in (0, 1) for k in (2, 3, 4)]
-        for ch, k, seed in cases:
-            cfg = BsaConfig(k=k, restarts=6, rng_seed=seed)
+
+def bundled_duplicates_channel():
+    """256 inputs that are the first 128 rows of the bundled H at 0 dB, each
+    twice, in a shuffled order: every swap ties exactly with its copy's."""
+    rows = bundled_channel(0.0).trans[:128]
+    return DmcChannel.from_probs(rows[np.random.default_rng(5).permutation(np.arange(256) % 128)])
+
+
+class TestBsaMatchesReference:
+    """bsa_select must return every field of the plain reference, bit for bit,
+    with and without the swap screen."""
+
+    @staticmethod
+    def check(cases):
+        for ch, k, restarts, seed in cases:
+            cfg = BsaConfig(k=k, restarts=restarts, rng_seed=seed)
             res = bsa_select(ch, cfg)
             got = (
                 res.mask.indices.tolist(), res.ser, res.truncated, res.initial_sers, res.final_sers
             )
             assert got == reference_bsa(ch, cfg), (ch.num_inputs, k, seed)
+
+    @pytest.mark.parametrize("max_passes", [None, 1, 2])
+    def test_fields_equal(self, monkeypatch, max_passes):
+        if max_passes is not None:
+            monkeypatch.setattr(subset_search, "_MAX_PASSES", max_passes)
+        cases = [(small_mimo_channel(seed=s), k, 6, s) for s in (50, 51, 52) for k in (3, 4, 8)]
+        cases += [(small_mimo_channel(seed=s, n=3), k, 6, s) for s in (53, 54) for k in (4, 12)]
+        cases += [(duplicated_rows_channel(), k, 6, s) for s in (0, 1) for k in (2, 3, 4)]
+        # Every search screened, then none.
+        for screen_min in (0, math.inf):
+            monkeypatch.setattr(subset_search, "_SCREEN_MIN_ENTRIES", screen_min)
+            self.check(cases)
+
+    @pytest.mark.parametrize("max_passes", [None, 1, 2])
+    def test_bundled_h_fields_equal(self, monkeypatch, max_passes):
+        # K (M - K) L is 983,040 at K = 16 and 3,145,728 at K = 64: screened.
+        if max_passes is not None:
+            monkeypatch.setattr(subset_search, "_MAX_PASSES", max_passes)
+        # One full K = 64 descent of the reference takes about 0.4 s.
+        channels = [bundled_channel(0.0), bundled_channel(22.5), bundled_duplicates_channel()]
+        cases = [(ch, k, restarts, 3) for ch in channels for k, restarts in ((16, 2), (64, 1))]
+        self.check(cases)
+
+
+class TestSwapScreen:
+    def test_bounds_within_margin_after_descent(self, monkeypatch):
+        # The gains are refreshed pass by pass through a whole K = 64 descent;
+        # at its end they and every bound must still sit far inside the
+        # margin that the screen's skip and near-set rules allow for.
+        screens = []
+
+        class Recorded(subset_search._Screen):
+            def __init__(self, rows):
+                super().__init__(rows)
+                screens.append(self)
+
+        monkeypatch.setattr(subset_search, "_Screen", Recorded)
+        ch = bundled_channel(0.0)
+        res = bsa_select(ch, BsaConfig(k=64, restarts=1, rng_seed=0))
+        assert len(screens) == 1 and not res.truncated
+        sel = res.mask.indices
+        owner, best, second, _ = rates._column_state(ch, sel)
+        screen = screens[0]
+        np.testing.assert_array_equal(screen.best, best)
+        tol = subset_search._BOUND_MARGIN / 1000
+        fresh = np.maximum(ch.trans - best, 0.0).sum(axis=1)
+        assert np.abs(screen.gain - fresh).max() <= tol
+        outside = np.delete(np.arange(ch.num_inputs), sel)
+        for j in range(sel.size):
+            owned = owner == j
+            exact = np.maximum(np.where(owned, second, best), ch.trans[outside]).sum(axis=1)
+            bound = screen.bounds(np.flatnonzero(owned), second)
+            assert np.abs(bound[outside] - exact).max() <= tol, j
+            assert np.isneginf(bound[sel]).all()
