@@ -12,8 +12,10 @@ Rate, cutoff rate and SER each fold the subset's rows into a column
 aggregate (sum, sum of square roots, maximum) and finish from it; exhaustive
 search builds the same aggregate one row at a time and calls the same finish.
 The per-input misdetection costs have one formula too, ``_column_state``, which
-also gives each output's best and second-best selected row; binary switching
-reads it once per pass and scores each swap with the SER fold and finish. In
+also gives each output's best and second-best selected row and, like the
+``batch_*`` functions, takes a (..., K) stack of subsets; binary switching
+reads it once per pass, for one restart or for all restarts that run in
+lockstep, and scores each swap with the SER fold and finish. In
 large searches it first bounds the swaps from the same best and second-best
 rows and scores with the fold and finish only the swaps that the bound, less
 a 1e-9 margin, cannot rule out; the SER bits stay those of ``batch_ser``.
@@ -104,22 +106,28 @@ def _ser_parts(ch: DmcChannel):
 
 
 def _column_state(ch: DmcChannel, idx: np.ndarray):
-    """ML decision state of one subset, ``idx`` a vector of ascending inputs:
-    each output's owner (position of its first most likely row), best and
-    second-best P(y|x), and each row's misdetection cost, its mass P(y|x_j) on
+    """ML decision state of each subset in a (..., K) stack ``idx`` of
+    ascending inputs: each output's owner (position of its first most likely
+    row, the first argmax over the K axis), best and second-best P(y|x), all
+    (..., L), and each row's misdetection cost (..., K), its mass P(y|x_j) on
     outputs owned by another row (so tied mass counts against later rows)."""
     sub = ch.trans[idx]
-    cols = np.arange(sub.shape[1])
-    owner = sub.argmax(axis=0)
-    best = sub[owner, cols]
-    # Masking the owners is several times faster than np.partition on axis 0.
-    rest = sub.copy()
-    rest[owner, cols] = -np.inf
-    second = rest.max(axis=0)
+    k, l = sub.shape[-2:]
+    owner = sub.argmax(axis=-2)
+    # Row of each owner in the (subsets * K, L) view of the gathered stack.
+    flat = sub.reshape(-1, l)
+    rows = owner + np.arange(0, len(flat), k).reshape(owner.shape[:-1] + (1,))
+    cols = np.arange(l)
+    best = flat[rows, cols]
     # bincount sums each input's owned mass in output order, as np.add.at
     # would; another order moves the last bits and reorders near-tied costs.
-    costs = sub.sum(axis=1) - np.bincount(owner, weights=best, minlength=len(idx))
-    return owner, best, second, costs
+    # The per-subset row offsets keep that order within each subset.
+    won = np.bincount(rows.ravel(), weights=best.ravel(), minlength=len(flat))
+    costs = sub.sum(axis=-1) - won.reshape(idx.shape)
+    # Masking the owners in the gathered copy is several times faster than
+    # np.partition on the K axis.
+    flat[rows, cols] = -np.inf
+    return owner, best, sub.max(axis=-2), costs
 
 
 # Criterion -> parts(ch) = (rows, fold, finish, term). A subset's score is

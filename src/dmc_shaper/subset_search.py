@@ -11,7 +11,12 @@ vector kept across passes and the columns the position owns, skips a position
 that cannot beat the current SER by the 1e-9 margin, and otherwise only the
 candidates within twice the margin of the best bound are scored exactly. The
 bounds' rounding (about 1e-14) is far below the margin, so the masks and SER
-bits are those of scoring every swap.
+bits are those of scoring every swap. Small unscreened searches, whose
+restarts' candidate blocks hold (M - K) L < 2^13 entries, run all restarts in
+lockstep instead of one after another: each pass reads every live restart's
+column state in one stacked call, and each step scores one position of every
+restart still searching in one stack, with the same swaps as one restart
+alone.
 
 Exhaustive search is exact branch and bound, level by level over the
 d-prefixes P of the K-subsets (d = 1 .. K, lexicographic order, each with
@@ -64,6 +69,25 @@ _BOUND_MARGIN = 1e-9
 _SCREEN_MIN_ENTRIES = 2**19
 
 
+# Binary switching runs the descents of all restarts in lockstep
+# (``_lockstep_search``) while one restart's candidate block, (M - K) L
+# entries, is below this and the search is not screened; larger blocks run one
+# restart at a time (``_local_search``). On a 2-core x86 VM (random channels
+# at 10 dB, 20 restarts, best of 5, two channels each), one at a time ->
+# lockstep took 3.1-3.3 -> 1.4 ms at M = L = 16, K = 4 (192 entries);
+# 4.8-6.2 -> 3.0-4.2 ms at M = L = 64, K = 4 (3,840); 6.4-6.6 -> 4.8-5.4 ms
+# at M = 128, L = 64, K = 4 (7,936); even at 15,360 and 16,128; and 1.17-1.39
+# times as long from 31,744 to 65,024 (M = 256, K = 2 and 8).
+_LOCKSTEP_MAX_BLOCK = 2**13
+# Float64 entries per restart in one group's largest array (1 MiB): the
+# lockstep's (restarts, M, L) score stack, or else the (restarts, K, L) rows
+# of the starting SERs. Restarts run in groups of at most this many entries'
+# worth (one restart if its own is larger), so memory does not grow with the
+# restart count. At M = L = 64, K = 4 (20 restarts, six channels) a lockstep
+# search took 3.75 ms at 2^17 or 2^18, 4.66 ms at 2^16 and 6.50 ms at 2^14.
+_RESTART_GROUP_ENTRIES = 2**17
+
+
 @dataclass(frozen=True)
 class BsaConfig:
     k: int
@@ -75,6 +99,8 @@ class BsaConfig:
             raise ValueError("k must be at least 2")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.restarts > 10**6:
+            raise ValueError("restarts must be at most 10^6")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 
@@ -151,7 +177,10 @@ def _local_search(
 ) -> tuple[np.ndarray, float, bool]:
     """Run switching passes on the membership vector ``inside``, whose subset
     has SER ``cur``, until no swap improves, or ``_MAX_PASSES`` passes have
-    run (reported as truncated). Updates ``inside`` in place.
+    run (reported as truncated). Updates ``inside`` in place. ``bsa_select``
+    runs this one restart at a time for searches too large for
+    ``_lockstep_search``. Unscreened, a position scores every input as its
+    swap candidate, as in ``_lockstep_search``.
 
     Searches of ``_SCREEN_MIN_ENTRIES`` or more bound each position's swap
     scores with a ``_Screen`` first: they skip a position whose best bound is
@@ -162,18 +191,16 @@ def _local_search(
     screen = None
     if k * (ch.num_inputs - k) * ch.num_outputs >= _SCREEN_MIN_ENTRIES:
         screen = _Screen(rows)
+    pool, candidates = np.arange(ch.num_inputs), rows
     passes = 0
     while True:
-        sel, outside = np.flatnonzero(inside), np.flatnonzero(~inside)
+        sel = np.flatnonzero(inside)
         owner, best, second, costs = rates._column_state(ch, sel)
-        if screen is None:
-            # A swap ends the pass, so the candidates' rows are fixed within it.
-            pool, candidates = outside, rows[outside]
-        else:
+        if screen is not None:
             screen.refresh(best, inside)
             target = k * (1.0 - cur) - _BOUND_MARGIN
-        # Highest cost first; position index breaks ties (sel is ascending).
-        for j in np.lexsort((np.arange(k), -costs)):
+        # Highest cost first; the stable sort breaks ties by position.
+        for j in np.argsort(-costs, kind="stable"):
             owned = owner == j
             if screen is not None:
                 bound = screen.bounds(np.flatnonzero(owned), second)
@@ -196,31 +223,103 @@ def _local_search(
             return np.flatnonzero(inside), cur, True
 
 
+def _lockstep_search(
+    ch: DmcChannel, inside: np.ndarray, cur: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the switching descents of all rows of the (restarts, M) membership
+    array ``inside`` at once, row r from SER ``cur[r]``, with the swaps that
+    ``_local_search`` makes on each row alone. Updates ``inside`` and ``cur``
+    in place and returns each restart's subset (restarts, K), SER and
+    truncation flag.
+
+    A pass reads the column state of every restart still descending in one
+    stacked call. Step t of the pass scores, in one fold/finish stack, all
+    swaps of the t-th costliest position of every restart that has not yet
+    switched in this pass; a restart leaves the pass at its first improving
+    swap, and the descent when a pass has none or ``_MAX_PASSES`` passes have
+    switched."""
+    rows, fold, finish, _ = rates._ser_parts(ch)
+    n, k = inside.shape[0], np.count_nonzero(inside[0])
+    truncated = np.zeros(n, dtype=bool)
+    live = np.arange(n)  # restarts still descending
+    for _ in range(_MAX_PASSES):
+        sel = np.nonzero(inside[live])[1].reshape(-1, k)
+        owner, best, second, costs = rates._column_state(ch, sel)
+        # Highest cost first; the stable sort breaks ties by position.
+        order = np.argsort(-costs, axis=1, kind="stable")
+        search = np.arange(live.size)  # rows of this pass that have not switched
+        for t in range(k):
+            j = order[search, t]
+            base = np.where(owner[search] == j[:, None], second[search], best[search])
+            # Every input is scored, the selected ones too: their rows are at
+            # most ``best`` in every column, and float sums are monotone, so
+            # they score at least the current SER and never switch in.
+            sers = finish(k, fold(base[:, None], rows), None)
+            c = sers.argmin(axis=1)
+            low = sers[np.arange(search.size), c]
+            won = low < cur[live[search]]
+            r = search[won]
+            inside[live[r], sel[r, j[won]]] = False
+            inside[live[r], c[won]] = True
+            cur[live[r]] = low[won]
+            search = search[~won]
+            if not search.size:
+                break
+        # No swap of any position improves: a local optimum.
+        live = np.delete(live, search)
+        if not live.size:
+            break
+    else:
+        truncated[live] = True
+    return np.nonzero(inside)[1].reshape(n, k), cur, truncated
+
+
 def bsa_select(ch: DmcChannel, cfg: BsaConfig) -> BsaResult:
     """Binary switching search for the minimum-SER subset of size k.
 
     Each restart draws a fresh uniform random subset from its own RNG stream
     (seed, restart index) and descends to a local optimum; the best local
-    optimum over all restarts wins.
+    optimum over all restarts wins, the first one on ties.
+
+    The input size alone picks how the descents run. When one restart's
+    candidate block, (M - k) L entries, is below ``_LOCKSTEP_MAX_BLOCK`` and
+    the search is not screened, restarts descend in lockstep
+    (``_lockstep_search``); otherwise each runs ``_local_search`` alone.
+    Both make the same swaps, so every result field is the same. Restarts
+    run in groups of about ``_RESTART_GROUP_ENTRIES`` entries' worth of
+    working arrays.
     """
-    m = ch.num_inputs
-    check_bsa_size(m, cfg.k)
+    m, k = ch.num_inputs, cfg.k
+    check_bsa_size(m, k)
+    block = (m - k) * ch.num_outputs
+    lockstep = block < _LOCKSTEP_MAX_BLOCK and k * block < _SCREEN_MIN_ENTRIES
+    # Restarts per group: the largest array per restart is the lockstep's
+    # (M, L) score block, or else the (K, L) rows of the starting SER.
+    size = max(1, _RESTART_GROUP_ENTRIES // ((m if lockstep else k) * ch.num_outputs))
+    n_groups = -(-cfg.restarts // size)
     best_sel: np.ndarray | None = None
     best_ser = math.inf
     truncated = False
     initial: list[float] = []
     final: list[float] = []
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.rng_seed, restart])
-        inside = np.zeros(m, dtype=bool)
-        inside[rng.choice(m, size=cfg.k, replace=False)] = True
-        initial.append(float(rates.batch_ser(ch, np.flatnonzero(inside))))
-        sel, ser, trunc = _local_search(ch, inside, initial[-1])
-        final.append(ser)
-        truncated = truncated or trunc
-        if ser < best_ser:
-            best_ser = ser
-            best_sel = sel
+    for g in range(n_groups):
+        # Group sizes differ by at most one; restarts keep their order.
+        restarts = range(g * cfg.restarts // n_groups, (g + 1) * cfg.restarts // n_groups)
+        inside = np.zeros((len(restarts), m), dtype=bool)
+        for row, restart in zip(inside, restarts):
+            rng = np.random.default_rng([cfg.rng_seed, restart])
+            row[rng.choice(m, size=k, replace=False)] = True
+        cur = rates.batch_ser(ch, np.nonzero(inside)[1].reshape(-1, k))
+        initial.extend(cur.tolist())
+        if lockstep:
+            sels, sers, truncs = _lockstep_search(ch, inside, cur)
+        else:
+            sels, sers, truncs = zip(*(_local_search(ch, row, c) for row, c in zip(inside, cur.tolist())))
+        final.extend(map(float, sers))
+        truncated = truncated or any(truncs)
+        i = int(np.argmin(sers))
+        if sers[i] < best_ser:
+            best_ser, best_sel = float(sers[i]), sels[i]
     assert best_sel is not None
     return BsaResult(
         mask=SubsetMask.from_indices(m, best_sel),

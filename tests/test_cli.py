@@ -373,6 +373,7 @@ class TestSweep:
             ("bundled", "16", "sdp,exhaustive", "exceeds the guard", ()),
             (None, "4", "sdp", "n_rand must be in", ("--nrand", "0")),
             (None, "4", "bsa", "restarts must be at least 1", ("--restarts", "0")),
+            (None, "4", "bsa", "restarts must be at most 10^6", ("--restarts", str(10**9))),
             (None, "4", "sdp", "tol must be positive", ("--sdp-tol", "0")),
             (None, "4", "sdp", "max_iter must be at least 1", ("--sdp-max-iter", "0")),
             (None, "4", "full", "tol must be positive", ("--ba-tol", "0")),
@@ -385,8 +386,8 @@ class TestSweep:
         ],
         ids=[
             "bsa-k-equals-m", "exhaustive-over-guard", "nrand-0", "restarts-0",
-            "sdp-tol-0", "sdp-max-iter-0", "ba-tol-0", "sdp-tol-nan", "ba-tol-nan",
-            "ba-max-iter-0", "seed-negative", "k-repeated", "methods-repeated",
+            "restarts-huge", "sdp-tol-0", "sdp-max-iter-0", "ba-tol-0", "sdp-tol-nan",
+            "ba-tol-nan", "ba-max-iter-0", "seed-negative", "k-repeated", "methods-repeated",
         ],
     )
     def test_bad_configuration_rejected_before_any_point(

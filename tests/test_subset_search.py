@@ -434,6 +434,51 @@ class TestBsaSelect:
         with pytest.raises(ValueError, match="at least 3 inputs, got 2"):
             bsa_select(random_channel(2, 4, seed=0), BsaConfig(k=2, restarts=1, rng_seed=0))
 
+    def test_traced_peak_does_not_grow_with_restarts(self):
+        # Restarts descend in groups of about _RESTART_GROUP_ENTRIES
+        # entries; one lockstep of all 2,000 restarts at M = L = 64 would
+        # score a 62 MiB stack.
+        ch = small_mimo_channel(seed=80, n=3)
+        peaks = []
+        for restarts in (20, 2000):
+            tracemalloc.start()
+            try:
+                bsa_select(ch, BsaConfig(k=4, restarts=restarts, rng_seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
+        assert peaks[1] < 4 * 2**20, peaks
+
+
+class TestColumnStateStack:
+    def test_stack_equals_rows(self):
+        # The lockstep reads the column state of all its restarts in one
+        # stacked call; each subset's four outputs must keep the bits of the
+        # call on that subset alone, ties and exact zeros included.
+        def draws(ch, k):
+            rng = np.random.default_rng(k)
+            return np.sort([rng.choice(ch.num_inputs, k, replace=False) for _ in range(6)], axis=1)
+
+        # Inputs 0 and 3, 1 and 4, 2 and 6 of duplicated_rows_channel() are
+        # copies, so those subsets tie in every column.
+        dup = duplicated_rows_channel()
+        cases = [(dup, np.array([[0, 3], [1, 4], [2, 6], [0, 7], [3, 5], [1, 2]]))]
+        cases += [(dup, np.array([[0, 3, 5], [1, 4, 7], [0, 2, 6], [0, 1, 3], [3, 4, 6], [1, 2, 5]]))]
+        noiseless = DmcChannel.from_probs(np.eye(4)[np.arange(12) % 4])
+        channels = [(dup, 5), (noiseless, 3), (sparse_channel(), 4), (small_mimo_channel(90), 4)]
+        channels += [(bundled_channel(0.0), 16), (bundled_channel(25.0), 64)]
+        cases += [(ch, draws(ch, k)) for ch, k in channels]
+        for ch, stack in cases:
+            k = stack.shape[1]
+            for idx in (stack, stack.reshape(2, 3, k)):
+                state = rates._column_state(ch, idx)
+                for i in np.ndindex(idx.shape[:-1]):
+                    want = rates._column_state(ch, idx[i])
+                    for got, row in zip(state, want):
+                        assert got[i].tobytes() == row.tobytes(), (k, i)
+                        assert got[i].dtype == row.dtype
+
 
 def reference_bsa(ch, cfg):
     """Binary switching written out plainly: misdetection costs summed with
@@ -486,19 +531,42 @@ def bundled_duplicates_channel():
     return DmcChannel.from_probs(rows[np.random.default_rng(5).permutation(np.arange(256) % 128)])
 
 
+def regimes(ch, k):
+    """Module constants that put bsa_select in each regime: restarts in
+    lockstep, one plain descent at a time, and screened; the first two also
+    in groups of one restart and in groups of three."""
+    lockstep = {"_LOCKSTEP_MAX_BLOCK": math.inf, "_SCREEN_MIN_ENTRIES": math.inf}
+    plain = {"_LOCKSTEP_MAX_BLOCK": 0, "_SCREEN_MIN_ENTRIES": math.inf}
+    out = {"screened": {"_SCREEN_MIN_ENTRIES": 0}}
+    # A group's budget is counted in (M, L) blocks in lockstep, else (K, L).
+    for name, constants, rows in (("lockstep", lockstep, ch.num_inputs), ("plain", plain, k)):
+        out[name] = constants
+        out[f"{name}-groups-of-1"] = {**constants, "_RESTART_GROUP_ENTRIES": 1}
+        out[f"{name}-groups-of-3"] = {**constants, "_RESTART_GROUP_ENTRIES": 3 * rows * ch.num_outputs}
+    return out
+
+
+REGIME_CONSTANTS = ("_LOCKSTEP_MAX_BLOCK", "_SCREEN_MIN_ENTRIES", "_RESTART_GROUP_ENTRIES")
+
+
 class TestBsaMatchesReference:
     """bsa_select must return every field of the plain reference, bit for bit,
-    with and without the swap screen."""
+    in every regime."""
 
     @staticmethod
-    def check(cases):
+    def check(monkeypatch, cases):
+        defaults = {name: getattr(subset_search, name) for name in REGIME_CONSTANTS}
         for ch, k, restarts, seed in cases:
             cfg = BsaConfig(k=k, restarts=restarts, rng_seed=seed)
-            res = bsa_select(ch, cfg)
-            got = (
-                res.mask.indices.tolist(), res.ser, res.truncated, res.initial_sers, res.final_sers
-            )
-            assert got == reference_bsa(ch, cfg), (ch.num_inputs, k, seed)
+            want = reference_bsa(ch, cfg)
+            for regime, constants in regimes(ch, k).items():
+                for name, value in {**defaults, **constants}.items():
+                    monkeypatch.setattr(subset_search, name, value)
+                res = bsa_select(ch, cfg)
+                got = (
+                    res.mask.indices.tolist(), res.ser, res.truncated, res.initial_sers, res.final_sers
+                )
+                assert got == want, (ch.num_inputs, k, seed, regime)
 
     @pytest.mark.parametrize("max_passes", [None, 1, 2])
     def test_fields_equal(self, monkeypatch, max_passes):
@@ -507,20 +575,21 @@ class TestBsaMatchesReference:
         cases = [(small_mimo_channel(seed=s), k, 6, s) for s in (50, 51, 52) for k in (3, 4, 8)]
         cases += [(small_mimo_channel(seed=s, n=3), k, 6, s) for s in (53, 54) for k in (4, 12)]
         cases += [(duplicated_rows_channel(), k, 6, s) for s in (0, 1) for k in (2, 3, 4)]
-        # Every search screened, then none.
-        for screen_min in (0, math.inf):
-            monkeypatch.setattr(subset_search, "_SCREEN_MIN_ENTRIES", screen_min)
-            self.check(cases)
+        # Desk scale: 20 restarts, which end their descents at different passes.
+        cases += [(small_mimo_channel(seed=s), 4, 20, s) for s in (55, 56, 57)]
+        cases += [(small_mimo_channel(seed=58, n=3), 4, 20, 58)]
+        self.check(monkeypatch, cases)
 
     @pytest.mark.parametrize("max_passes", [None, 1, 2])
     def test_bundled_h_fields_equal(self, monkeypatch, max_passes):
-        # K (M - K) L is 983,040 at K = 16 and 3,145,728 at K = 64: screened.
+        # K (M - K) L is 983,040 at K = 16 and 3,145,728 at K = 64, so only
+        # the patched regimes run these in lockstep or unscreened.
         if max_passes is not None:
             monkeypatch.setattr(subset_search, "_MAX_PASSES", max_passes)
         # One full K = 64 descent of the reference takes about 0.4 s.
         channels = [bundled_channel(0.0), bundled_channel(22.5), bundled_duplicates_channel()]
         cases = [(ch, k, restarts, 3) for ch in channels for k, restarts in ((16, 2), (64, 1))]
-        self.check(cases)
+        self.check(monkeypatch, cases)
 
 
 class TestSwapScreen:
