@@ -114,9 +114,12 @@ def _column_state(ch: DmcChannel, idx: np.ndarray):
     sub = ch.trans[idx]
     k, l = sub.shape[-2:]
     owner = sub.argmax(axis=-2)
-    # Row of each owner in the (subsets * K, L) view of the gathered stack.
+    # Row of each owner in the (subsets * K, L) view of the gathered stack;
+    # one subset needs no offsets.
     flat = sub.reshape(-1, l)
-    rows = owner + np.arange(0, len(flat), k).reshape(owner.shape[:-1] + (1,))
+    rows = owner
+    if idx.ndim > 1:
+        rows = owner + np.arange(0, len(flat), k).reshape(owner.shape[:-1] + (1,))
     cols = np.arange(l)
     best = flat[rows, cols]
     # bincount sums each input's owned mass in output order, as np.add.at

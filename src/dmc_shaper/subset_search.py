@@ -77,7 +77,12 @@ _SCREEN_MIN_ENTRIES = 2**19
 # lockstep took 3.1-3.3 -> 1.4 ms at M = L = 16, K = 4 (192 entries);
 # 4.8-6.2 -> 3.0-4.2 ms at M = L = 64, K = 4 (3,840); 6.4-6.6 -> 4.8-5.4 ms
 # at M = 128, L = 64, K = 4 (7,936); even at 15,360 and 16,128; and 1.17-1.39
-# times as long from 31,744 to 65,024 (M = 256, K = 2 and 8).
+# times as long from 31,744 to 65,024 (M = 256, K = 2 and 8). Lockstep groups
+# of one restart do not close that gap: the scoring costs the same, but the
+# lockstep indexes its stacked state in every pass and step. On the bundled H at
+# -10, 0, 10 and 25 dB, K = 2, 3, 4, 6, 8 (20 restarts, best of 7), groups of
+# one took 1.23-1.35 times as long as one restart at a time (371 -> 471 ms
+# over the 20 searches), so the larger blocks keep ``_local_search``.
 _LOCKSTEP_MAX_BLOCK = 2**13
 # Float64 entries per restart in one group's largest array (1 MiB): the
 # lockstep's (restarts, M, L) score stack, or else the (restarts, K, L) rows
@@ -179,8 +184,9 @@ def _local_search(
     has SER ``cur``, until no swap improves, or ``_MAX_PASSES`` passes have
     run (reported as truncated). Updates ``inside`` in place. ``bsa_select``
     runs this one restart at a time for searches too large for
-    ``_lockstep_search``. Unscreened, a position scores every input as its
-    swap candidate, as in ``_lockstep_search``.
+    ``_lockstep_search``, which there is slower even one restart at a time
+    (see ``_LOCKSTEP_MAX_BLOCK``). Unscreened, a position scores every input
+    as its swap candidate, as in ``_lockstep_search``.
 
     Searches of ``_SCREEN_MIN_ENTRIES`` or more bound each position's swap
     scores with a ``_Screen`` first: they skip a position whose best bound is
@@ -247,20 +253,21 @@ def _lockstep_search(
         owner, best, second, costs = rates._column_state(ch, sel)
         # Highest cost first; the stable sort breaks ties by position.
         order = np.argsort(-costs, axis=1, kind="stable")
+        # Column maxima of each subset without its t-th costliest position.
+        bases = np.where(owner[:, None] == order[..., None], second[:, None], best[:, None])
         search = np.arange(live.size)  # rows of this pass that have not switched
         for t in range(k):
-            j = order[search, t]
-            base = np.where(owner[search] == j[:, None], second[search], best[search])
             # Every input is scored, the selected ones too: their rows are at
             # most ``best`` in every column, and float sums are monotone, so
             # they score at least the current SER and never switch in.
-            sers = finish(k, fold(base[:, None], rows), None)
-            c = sers.argmin(axis=1)
-            low = sers[np.arange(search.size), c]
+            sers = finish(k, fold(bases[search, t, None], rows), None)
+            low = sers.min(axis=1)
             won = low < cur[live[search]]
+            if not won.any():
+                continue
             r = search[won]
-            inside[live[r], sel[r, j[won]]] = False
-            inside[live[r], c[won]] = True
+            inside[live[r], sel[r, order[r, t]]] = False
+            inside[live[r], sers[won].argmin(axis=1)] = True
             cur[live[r]] = low[won]
             search = search[~won]
             if not search.size:
