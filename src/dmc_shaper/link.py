@@ -101,7 +101,11 @@ def compute_llrs_block(
     clipped to +/- LLR_CLIP. Outputs unreachable from every selected symbol
     yield zero LLRs (with a warning).
     """
-    y = np.asarray(y_indices, dtype=np.intp)
+    y = np.asarray(y_indices)
+    # A cast would read 1.7 and True as output 1; an empty list is float.
+    if y.size and y.dtype.kind not in "iu":
+        raise ValueError("output indices must be integers")
+    y = y.astype(np.intp, copy=False)
     if y.size and not (0 <= y.min() and y.max() < ch.num_outputs):
         raise ValueError(f"output indices must be in [0, {ch.num_outputs})")
     if lab.selected.max() >= ch.num_inputs:

@@ -9,16 +9,18 @@ Each subset criterion has one formula, a ``batch_*`` function that takes an
 integer index stack of shape (..., K), rows of ascending input indices, and
 returns one value per row; the scalar functions call it on ``mask.indices``.
 Rate, cutoff rate and SER each fold the subset's rows into a column
-aggregate (sum, sum of square roots, maximum) and finish from it; exhaustive
-search builds the same aggregate one row at a time and calls the same finish.
-The per-input misdetection costs have one formula too, ``_column_state``, which
-also gives each output's best and second-best selected row and, like the
-``batch_*`` functions, takes a (..., K) stack of subsets; binary switching
-reads it once per pass, for one restart or for all restarts that run in
-lockstep, and scores each swap with the SER fold and finish. In
-large searches it first bounds the swaps from the same best and second-best
-rows and scores with the fold and finish only the swaps that the bound, less
-a 1e-9 margin, cannot rule out; the SER bits stay those of ``batch_ser``.
+aggregate (sum, sum of square roots, maximum) and finish from it. The finish
+of a prefix P of d rows, finish(K, d, aggregate, row-term sum), is the
+subset's value at d = K; below K it bounds the value of every K-subset that
+extends P, from above for a rate and from below for SER. Each criterion
+states its direction once, as a sign (+1 for the rates, -1 for SER), and a
+search maximizes sign * finish: the search applies the sign, the finish
+never does. Exhaustive search builds the aggregate one row at a time and
+calls the same finish, and binary switching scores each swap with the SER
+fold and finish. The per-input misdetection costs have one formula too,
+``_column_state``, which also gives each output's best and second-best
+selected row and, like the ``batch_*`` functions, takes a (..., K) stack of
+subsets.
 The rate is log2 K + (sum_{x in S} r(x) - sum_y d(y) ln d(y)) / (K ln 2) with
 the row term r(x) = sum_y P(y|x) ln P(y|x) and d(y) = sum_{x in S} P(y|x).
 
@@ -73,13 +75,20 @@ def mutual_information(ch: DmcChannel, p: InputDistribution) -> float:
 
 def _rate_parts(ch: DmcChannel):
     """Rate from the column sums d(y) = sum_{x in S} P(y|x) and the sum of
-    the row terms sum_y P(y|x) ln P(y|x)."""
+    the row terms sum_y P(y|x) ln P(y|x). Below K, a genie that tells Y
+    whether X lies in P bounds every completion S of P, with w = d / K:
+    I(S) <= h_b(w) + w I(P) + (1 - w) log2 (K - d)."""
 
-    def finish(k: int, denom: np.ndarray, row_sum: np.ndarray) -> np.ndarray:
+    def finish(k: int, d: int, denom: np.ndarray, row_sum: np.ndarray) -> np.ndarray:
         dlogd = denom * np.log(np.where(denom > 0.0, denom, 1.0))  # 0 where d(y) = 0
-        return math.log2(k) + (row_sum - dlogd.sum(axis=-1)) / (k * _LN2)
+        value = math.log2(d) + (row_sum - dlogd.sum(axis=-1)) / (d * _LN2)
+        if d == k:  # the genie term would take log2 0
+            return value
+        w = d / k
+        h_b = -w * math.log2(w) - (1.0 - w) * math.log2(1.0 - w)
+        return h_b + w * value + (1.0 - w) * math.log2(k - d)
 
-    return ch.trans, np.add, finish, _row_plogp(ch)
+    return ch.trans, np.add, finish, _row_plogp(ch), 1.0
 
 
 def cutoff_bits(k: int, bhattacharyya_sum):
@@ -88,21 +97,33 @@ def cutoff_bits(k: int, bhattacharyya_sum):
 
 
 def _cutoff_parts(ch: DmcChannel):
-    """Cutoff rate from the column sums sum_{x in S} sqrt(P(y|x))."""
+    """Cutoff rate from the column sums sum_{x in S} sqrt(P(y|x)). Below K,
+    each row still to add adds at least the least row mass min_x sum_y
+    P(y|x) to the Bhattacharyya sum B, since the cross terms are >= 0."""
+    rows = np.sqrt(ch.trans)
+    least = (rows * rows).sum(axis=1).min()
 
-    def finish(k: int, col: np.ndarray, _row_sum: None) -> np.ndarray:
-        return cutoff_bits(k, (col * col).sum(axis=-1))
+    def finish(k: int, d: int, col: np.ndarray, _row_sum: None) -> np.ndarray:
+        b = (col * col).sum(axis=-1)
+        return cutoff_bits(k, b if d == k else b + (k - d) * least)
 
-    return np.sqrt(ch.trans), np.add, finish, None
+    return rows, np.add, finish, None, 1.0
 
 
 def _ser_parts(ch: DmcChannel):
-    """ML symbol error rate from the column maxima max_{x in S} P(y|x)."""
+    """ML symbol error rate from the column maxima max_{x in S} P(y|x). Below
+    K, each row still to add adds at most the largest row mass (1 up to
+    rounding) to the column maxima, so with w = d / K: SER(S) >= w SER(P) +
+    (K - d) (1 - max_x sum_y P(y|x)) / K."""
+    miss = 1.0 - ch.trans.sum(axis=1).max()
 
-    def finish(k: int, colmax: np.ndarray, _row_sum: None) -> np.ndarray:
-        return 1.0 - colmax.sum(axis=-1) / k
+    def finish(k: int, d: int, colmax: np.ndarray, _row_sum: None) -> np.ndarray:
+        value = 1.0 - colmax.sum(axis=-1) / d
+        if d == k:
+            return value
+        return d / k * value + (k - d) * miss / k
 
-    return ch.trans, np.maximum, finish, None
+    return ch.trans, np.maximum, finish, None, -1.0
 
 
 def _column_state(ch: DmcChannel, idx: np.ndarray):
@@ -133,17 +154,19 @@ def _column_state(ch: DmcChannel, idx: np.ndarray):
     return owner, best, sub.max(axis=-2), costs
 
 
-# Criterion -> parts(ch) = (rows, fold, finish, term). A subset's score is
-# finish(K, fold.reduce(rows[idx], axis=-2), term[idx].sum(axis=-1)), with
-# None for the last argument when term is None; numpy folds axis -2 row after
-# row, so folding one more row onto a prefix's aggregate gives the same bits.
+# Criterion -> parts(ch) = (rows, fold, finish, term, sign). A subset's score
+# is finish(K, K, fold.reduce(rows[idx], axis=-2), term[idx].sum(axis=-1)),
+# with None for the last argument when term is None; numpy folds axis -2 row
+# after row, so folding one more row onto a prefix's aggregate gives the same
+# bits. Searches maximize sign * score: SER is minimized, the rates maximized.
 _COLUMN_SCORERS = {"rate": _rate_parts, "ser": _ser_parts, "cutoff": _cutoff_parts}
 
 
 def _score(parts, idx: np.ndarray) -> np.ndarray:
-    rows, fold, finish, term = parts
+    rows, fold, finish, term, _ = parts
+    k = idx.shape[-1]
     row_sum = None if term is None else term[idx].sum(axis=-1)
-    return finish(idx.shape[-1], fold.reduce(rows[idx], axis=-2), row_sum)
+    return finish(k, k, fold.reduce(rows[idx], axis=-2), row_sum)
 
 
 def batch_rate(ch: DmcChannel, idx: np.ndarray) -> np.ndarray:

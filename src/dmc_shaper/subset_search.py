@@ -22,11 +22,10 @@ Exhaustive search is exact branch and bound, level by level over the
 d-prefixes P of the K-subsets (d = 1 .. K, lexicographic order, each with
 room for K - d larger inputs); depth K is the leaf level, the K-subsets
 themselves. A child's column aggregate is its parent's folded with one more
-row, and it bounds every completion S of P, with r = K - d rows still to add
-and w = d/K: rate I(S) <= h_b(w) + w I(P) + (1 - w) log2 r (a genie tells
-whether X lies in P), SER(S) >= w SER(P) + r (1 - max_x sum_y P(y|x)) / K,
-and Bhattacharyya sum B(S) >= B(P) + r min_x sum_y P(y|x); at r = 0 each
-bound is the subset's value. The incumbent is a short dive from depth
+row, and the criterion's finish in ``rates`` turns it into a bound on every
+completion of P (a genie bound for the rate, the least row mass for the
+cutoff rate, the largest row mass for SER), which at depth K is the subset's
+value. The incumbent is a short dive from depth
 min(2, K-1), polished by single swaps; every depth from there keeps only the
 nodes whose bound reaches it (less a 1e-9 margin for rounding). The leaves
 are scored in lexicographic order with the same arithmetic as scoring every
@@ -48,7 +47,7 @@ from .rates import cutoff_rate, ser_ml, uniform_subset_rate
 EXHAUSTIVE_GUARD = 10**7
 _MAX_PASSES = 1000  # switching passes per restart before the search is cut
 
-CRITERIA = tuple(rates._COLUMN_SCORERS)  # SER is minimized, the two rates maximized
+CRITERIA = tuple(rates._COLUMN_SCORERS)
 # Float64 entries (512 kB) in one (subsets, L) working array of exhaustive
 # search. On a 2-core x86 VM, 2^16 ran 10-20% faster than 2^15, 2^17 or 2^18
 # at M = 64, K = 4, and within 10% of the best of them at M = 256, K = 3.
@@ -178,21 +177,22 @@ class _Screen:
 
 
 def _local_search(
-    ch: DmcChannel, inside: np.ndarray, cur: float
+    ch: DmcChannel, parts, inside: np.ndarray, cur: float
 ) -> tuple[np.ndarray, float, bool]:
     """Run switching passes on the membership vector ``inside``, whose subset
     has SER ``cur``, until no swap improves, or ``_MAX_PASSES`` passes have
-    run (reported as truncated). Updates ``inside`` in place. ``bsa_select``
-    runs this one restart at a time for searches too large for
-    ``_lockstep_search``, which there is slower even one restart at a time
-    (see ``_LOCKSTEP_MAX_BLOCK``). Unscreened, a position scores every input
-    as its swap candidate, as in ``_lockstep_search``.
+    run (reported as truncated); ``parts`` is ``rates._ser_parts(ch)``.
+    Updates ``inside`` in place. ``bsa_select`` runs this one restart at a
+    time for searches too large for ``_lockstep_search``, which there is
+    slower even one restart at a time (see ``_LOCKSTEP_MAX_BLOCK``).
+    Unscreened, a position scores every input as its swap candidate, as in
+    ``_lockstep_search``.
 
     Searches of ``_SCREEN_MIN_ENTRIES`` or more bound each position's swap
     scores with a ``_Screen`` first: they skip a position whose best bound is
     more than ``_BOUND_MARGIN`` short of the current score K (1 - cur), and
     score only the candidates within twice the margin of that bound."""
-    rows, fold, finish, _ = rates._ser_parts(ch)
+    rows, fold, finish = parts[:3]
     k = np.count_nonzero(inside)
     screen = None
     if k * (ch.num_inputs - k) * ch.num_outputs >= _SCREEN_MIN_ENTRIES:
@@ -215,7 +215,7 @@ def _local_search(
                     continue
                 pool = np.flatnonzero(bound >= top - 2.0 * _BOUND_MARGIN)
                 candidates = rows[pool]
-            sers = finish(k, fold(np.where(owned, second, best), candidates), None)
+            sers = finish(k, k, fold(np.where(owned, second, best), candidates), None)
             c = int(sers.argmin())
             if sers[c] < cur:
                 inside[sel[j]] = False
@@ -230,13 +230,13 @@ def _local_search(
 
 
 def _lockstep_search(
-    ch: DmcChannel, inside: np.ndarray, cur: np.ndarray
+    ch: DmcChannel, parts, inside: np.ndarray, cur: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the switching descents of all rows of the (restarts, M) membership
     array ``inside`` at once, row r from SER ``cur[r]``, with the swaps that
     ``_local_search`` makes on each row alone. Updates ``inside`` and ``cur``
     in place and returns each restart's subset (restarts, K), SER and
-    truncation flag.
+    truncation flag; ``parts`` is ``rates._ser_parts(ch)``.
 
     A pass reads the column state of every restart still descending in one
     stacked call. Step t of the pass scores, in one fold/finish stack, all
@@ -244,7 +244,7 @@ def _lockstep_search(
     switched in this pass; a restart leaves the pass at its first improving
     swap, and the descent when a pass has none or ``_MAX_PASSES`` passes have
     switched."""
-    rows, fold, finish, _ = rates._ser_parts(ch)
+    rows, fold, finish = parts[:3]
     n, k = inside.shape[0], np.count_nonzero(inside[0])
     truncated = np.zeros(n, dtype=bool)
     live = np.arange(n)  # restarts still descending
@@ -260,7 +260,7 @@ def _lockstep_search(
             # Every input is scored, the selected ones too: their rows are at
             # most ``best`` in every column, and float sums are monotone, so
             # they score at least the current SER and never switch in.
-            sers = finish(k, fold(bases[search, t, None], rows), None)
+            sers = finish(k, k, fold(bases[search, t, None], rows), None)
             low = sers.min(axis=1)
             won = low < cur[live[search]]
             if not won.any():
@@ -294,12 +294,13 @@ def bsa_select(ch: DmcChannel, cfg: BsaConfig) -> BsaResult:
     (``_lockstep_search``); otherwise each runs ``_local_search`` alone.
     Both make the same swaps, so every result field is the same. Restarts
     run in groups of about ``_RESTART_GROUP_ENTRIES`` entries' worth of
-    working arrays.
+    working arrays, and all share one ``rates._ser_parts``.
     """
     m, k = ch.num_inputs, cfg.k
     check_bsa_size(m, k)
     block = (m - k) * ch.num_outputs
     lockstep = block < _LOCKSTEP_MAX_BLOCK and k * block < _SCREEN_MIN_ENTRIES
+    parts = rates._ser_parts(ch)
     # Restarts per group: the largest array per restart is the lockstep's
     # (M, L) score block, or else the (K, L) rows of the starting SER.
     size = max(1, _RESTART_GROUP_ENTRIES // ((m if lockstep else k) * ch.num_outputs))
@@ -316,12 +317,12 @@ def bsa_select(ch: DmcChannel, cfg: BsaConfig) -> BsaResult:
         for row, restart in zip(inside, restarts):
             rng = np.random.default_rng([cfg.rng_seed, restart])
             row[rng.choice(m, size=k, replace=False)] = True
-        cur = rates.batch_ser(ch, np.nonzero(inside)[1].reshape(-1, k))
+        cur = rates._score(parts, np.nonzero(inside)[1].reshape(-1, k))
         initial.extend(cur.tolist())
         if lockstep:
-            sels, sers, truncs = _lockstep_search(ch, inside, cur)
+            sels, sers, truncs = _lockstep_search(ch, parts, inside, cur)
         else:
-            sels, sers, truncs = zip(*(_local_search(ch, row, c) for row, c in zip(inside, cur.tolist())))
+            sels, sers, truncs = zip(*(_local_search(ch, parts, row, c) for row, c in zip(inside, cur.tolist())))
         final.extend(map(float, sers))
         truncated = truncated or any(truncs)
         i = int(np.argmin(sers))
@@ -337,15 +338,15 @@ def bsa_select(ch: DmcChannel, cfg: BsaConfig) -> BsaResult:
     )
 
 
-def _nodes(parts, criterion: str, step, m: int, k: int, nodes: np.ndarray, floor: float, n_sub: int):
+def _nodes(parts, m: int, k: int, nodes: np.ndarray, floor: float, n_sub: int):
     """The children of the d-prefix rows of ``nodes`` whose bound reaches
-    ``floor``, and their bounds. A child appends one index j > P[-1] that
-    leaves room for the k - d - 1 larger inputs still to come; children come
-    in lexicographic order, built and bounded for chunks of parents with
-    about ``n_sub`` children at a time. At depth k a child is a k-subset and
-    its bound is its value; each chunk keeps only its first best one.
-    ``step`` is ``_row_step(parts, criterion)``."""
-    rows, fold, _, term = parts
+    ``floor``, and their bounds, sign * finish(k, d + 1, ...) with the
+    criterion's ``parts``. A child appends one index j > P[-1] that leaves
+    room for the k - d - 1 larger inputs still to come; children come in
+    lexicographic order, built and bounded for chunks of parents with about
+    ``n_sub`` children at a time. At depth k a child is a k-subset and its
+    bound is sign * its value; each chunk keeps only its first best one."""
+    rows, fold, finish, term, sign = parts
     d = nodes.shape[1]
     last = nodes[:, -1].astype(np.intp) if d else np.full(1, -1)
     counts = m - k + d - last
@@ -367,7 +368,8 @@ def _nodes(parts, criterion: str, step, m: int, k: int, nodes: np.ndarray, floor
         fold(col, rows[after], out=col)
         # Summing each child's whole row of terms has the bits of rates._score.
         row_sum = None if term is None else term[children].sum(axis=-1)
-        bound = _bounds(parts, criterion, step, k, d + 1, col, row_sum)
+        # Negation is exact, so the leaves keep the values' bits.
+        bound = sign * finish(k, d + 1, col, row_sum)
         keep = bound >= floor if d + 1 < k else np.arange(bound.size) == bound.argmax()
         kept_nodes.append(children[keep])
         kept_bounds.append(bound[keep])
@@ -375,55 +377,21 @@ def _nodes(parts, criterion: str, step, m: int, k: int, nodes: np.ndarray, floor
     return np.concatenate(kept_nodes), np.concatenate(kept_bounds)
 
 
-def _row_step(parts, criterion: str):
-    """The channel-wide term of each row still to add in ``_bounds``: the
-    least sum_y P(y|x) over the inputs for the cutoff, one less the largest
-    row mass for SER, None for the rate."""
-    rows = parts[0]
-    if criterion == "cutoff":
-        return (rows * rows).sum(axis=1).min()
-    if criterion == "ser":
-        return 1.0 - rows.sum(axis=1).max()
-    return None
-
-
-def _bounds(parts, criterion: str, step, k: int, d: int, col: np.ndarray, row_sum) -> np.ndarray:
-    """Upper bound on sign * value (sign -1 for SER) over every k-subset S
-    that extends a d-prefix P, from P's column aggregate ``col`` (and row-term
-    sum), with r = k - d inputs to add and P's share w = d / k. At d = k each
-    form reduces to sign * value with its bits. ``step`` is
-    ``_row_step(parts, criterion)``."""
-    finish = parts[2]
-    r, w = k - d, d / k
-    if criterion == "cutoff":
-        # B(S) >= B(P) + sum over the r added rows of sum_y P(y|x): cross terms are >= 0.
-        return rates.cutoff_bits(k, (col * col).sum(axis=-1) + r * step)
-    value = finish(d, col, row_sum)
-    if criterion == "rate":
-        if r == 0:  # the genie term would take log2 0
-            return value
-        # A genie that tells Y whether X lies in P: I(S) <= h_b(w) + w I(P) + (1 - w) log2 r.
-        h_b = -w * math.log2(w) - (1.0 - w) * math.log2(1.0 - w)
-        return h_b + w * value + (1.0 - w) * math.log2(r)
-    # Each added row adds at most its mass (1 up to rounding) to the column
-    # maxima: SER(S) >= w SER(P) + r (1 - max mass) / k.
-    return -(w * value + r * step / k)
-
-
-def _swap_descent(ch: DmcChannel, sel: np.ndarray, criterion: str) -> tuple[np.ndarray, float]:
-    """Best-improvement single-swap descent from the ascending subset ``sel``.
-    Each step scores all k (m - k) swaps as sorted rows in one stack, takes
-    the best (ties to the lowest position, then the lowest candidate) and
-    stops when none is strictly better. Returns the subset and its value."""
-    parts = rates._COLUMN_SCORERS[criterion](ch)
-    sign = -1.0 if criterion == "ser" else 1.0
+def _swap_descent(parts, sel: np.ndarray) -> tuple[np.ndarray, float]:
+    """Best-improvement single-swap descent from the ascending subset ``sel``
+    under the criterion's ``parts``. Each step scores all k (m - k) swaps as
+    sorted rows in one stack, takes the best (ties to the lowest position,
+    then the lowest candidate) and stops when none is strictly better.
+    Returns the subset and its value."""
+    sign = parts[-1]
+    m = parts[0].shape[0]
     sel = np.asarray(sel, dtype=np.intp)
-    k, n = sel.size, ch.num_inputs - sel.size
+    k, n = sel.size, m - sel.size
     # Swap t puts the (t % n)-th outside input at position t // n.
     pos, cand = np.divmod(np.arange(k * n), n)
     cur = sign * float(rates._score(parts, sel))
     while n:
-        outside = np.delete(np.arange(ch.num_inputs), sel)
+        outside = np.delete(np.arange(m), sel)
         swaps = np.where(np.arange(k) == pos[:, None], outside[cand, None], sel)
         swaps.sort(axis=1)
         vals = sign * rates._score(parts, swaps)
@@ -444,25 +412,23 @@ def exhaustive_select(
     10^7 candidate subsets.
 
     Level-by-level branch and bound over the d-prefixes of the k-subsets,
-    d = 1 .. k (``_nodes``, ``_bounds``); depth k holds the subsets
-    themselves, bounded by their values. The incumbent comes at depth
-    min(2, k-1): the ``_INCUMBENT_PREFIXES`` best-bounded nodes, descended
-    keeping that many best-bounded nodes per depth, give the best subset
-    below them, which ``_swap_descent`` then polishes. From that depth on, a
-    node is kept only if its bound is at least the incumbent minus
-    ``_BOUND_MARGIN``, which covers every optimal subset and every tie. The
-    leaves are scored in lexicographic order with the scorer's fold, so the
-    first best is the smallest optimum and its value has the bits of the
-    matching ``rates.batch_*`` call.
+    d = 1 .. k (``_nodes``), each bounded by its criterion's finish in
+    ``rates``; depth k holds the subsets themselves, bounded by their values.
+    The incumbent comes at depth min(2, k-1): the ``_INCUMBENT_PREFIXES``
+    best-bounded nodes, descended keeping that many best-bounded nodes per
+    depth, give the best subset below them, which ``_swap_descent`` then
+    polishes. From that depth on, a node is kept only if its bound is at
+    least the incumbent minus ``_BOUND_MARGIN``, which covers every optimal
+    subset and every tie. The leaves are scored in lexicographic order with
+    the scorer's fold, so the first best is the smallest optimum and its
+    value has the bits of the matching ``rates.batch_*`` call.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     m = ch.num_inputs
     check_exhaustive_size(m, k)
     parts = rates._COLUMN_SCORERS[criterion](ch)
-    # Negation is exact, so maximizing sign * value keeps the values' bits.
-    sign = -1.0 if criterion == "ser" else 1.0
-    step = _row_step(parts, criterion)
+    sign = parts[-1]
     n_sub = max(1, _CHUNK_ENTRIES // ch.num_outputs)
 
     def top(nodes: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -473,13 +439,13 @@ def exhaustive_select(
     nodes = np.empty((1, 0), np.min_scalar_type(m - 1))
     floor = -math.inf
     for d in range(1, k + 1):
-        nodes, bound = _nodes(parts, criterion, step, m, k, nodes, floor, n_sub)
+        nodes, bound = _nodes(parts, m, k, nodes, floor, n_sub)
         if d == first:
             dive = top(nodes, bound)
             for _ in range(first + 1, k):
-                dive = top(*_nodes(parts, criterion, step, m, k, dive, -math.inf, n_sub))
-            leaves, value = _nodes(parts, criterion, step, m, k, dive, -math.inf, n_sub)
-            floor = sign * _swap_descent(ch, leaves[value.argmax()], criterion)[1] - _BOUND_MARGIN
+                dive = top(*_nodes(parts, m, k, dive, -math.inf, n_sub))
+            leaves, value = _nodes(parts, m, k, dive, -math.inf, n_sub)
+            floor = sign * _swap_descent(parts, leaves[value.argmax()])[1] - _BOUND_MARGIN
             nodes = nodes[bound >= floor]
     best = int(bound.argmax())
     return SubsetMask.from_indices(m, nodes[best]), sign * float(bound[best])

@@ -78,6 +78,20 @@ class TestDmcChannel:
         with pytest.raises(ValueError, match="inconsistent"):
             DmcChannel(trans=p, log_trans=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "trans, log_trans, match",
+        [
+            (np.full(4, 0.25), np.full(4, np.log(0.25)), "2-D"),
+            (np.full((2, 2), 0.5), np.full((2, 3), np.log(0.5)), "same shape"),
+            (np.full((2, 2), 0.5), [[np.nan, np.log(0.5)], [np.log(0.5)] * 2], "finite or -inf"),
+            (np.full((2, 2), 0.5), [[np.inf, np.log(0.5)], [np.log(0.5)] * 2], "finite or -inf"),
+        ],
+        ids=["trans-1d", "shape-mismatch", "log-nan", "log-plus-inf"],
+    )
+    def test_malformed_arrays_rejected(self, trans, log_trans, match):
+        with pytest.raises(ValueError, match=match):
+            DmcChannel(trans=trans, log_trans=np.array(log_trans))
+
     def test_arrays_are_frozen(self):
         ch = random_channel(3, 3, seed=1)
         with pytest.raises(ValueError):
@@ -101,6 +115,10 @@ class TestInputDistribution:
     def test_negative(self):
         with pytest.raises(ValueError):
             InputDistribution(np.array([1.2, -0.2]))
+
+    def test_not_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            InputDistribution(np.full((2, 2), 0.25))
 
 
 class TestSubsetMask:
@@ -132,6 +150,10 @@ class TestSubsetMask:
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
             SubsetMask.from_indices(4, [0, 7])
+
+    def test_bits_not_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            SubsetMask(np.ones((2, 2), dtype=bool))
 
     def test_duplicate_index(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -196,6 +218,21 @@ class TestJsonInterchange:
 
     def test_loader_rejects_missing_keys(self):
         assert check_channel_dict({"M": 2}) == ["missing key 'L'", "missing key 'P'"]
+
+    @pytest.mark.parametrize(
+        "doc, problem",
+        [
+            ([[0.5, 0.5], [0.5, 0.5]], "document is not a JSON object"),
+            ({"M": 2.0, "L": 2, "P": [[0.5, 0.5], [0.5, 0.5]]}, "M and L must be integers >= 2"),
+            ({"M": 2, "L": "2", "P": [[0.5, 0.5], [0.5, 0.5]]}, "M and L must be integers >= 2"),
+            ({"M": 1, "L": 2, "P": [[0.5, 0.5]]}, "M and L must be integers >= 2"),
+            ({"M": 2, "L": 2, "P": [["a", "b"], ["c", "d"]]}, "P is not a numeric matrix"),
+            ({"M": 2, "L": 2, "P": {"rows": 2}}, "P is not a numeric matrix"),
+        ],
+        ids=["not-object", "float-m", "string-l", "m-below-2", "string-p", "object-p"],
+    )
+    def test_loader_rejects_malformed_document(self, doc, problem):
+        assert check_channel_dict(doc) == [problem]
 
     def test_dict_round_trip_exact(self):
         ch = random_channel(4, 3, seed=4)

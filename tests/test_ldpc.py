@@ -81,6 +81,26 @@ class TestBuildLdpc:
             build_ldpc(100, 1.0)
 
     @pytest.mark.parametrize(
+        "n, rate, match",
+        [
+            (10, 0.9, "1 checks for length 10 is not constructible"),
+            (10, 0.01, "10 checks for length 10 is not constructible"),
+            # At this length the float rounding of n (1 - rate) alone is
+            # more than 1/n; the check fires before any matrix is built.
+            (10**17, 0.3, "off the request"),
+        ],
+        ids=["too-few-checks", "no-message-bits", "rate-off"],
+    )
+    def test_unbuildable_request_rejected(self, n, rate, match):
+        with pytest.raises(ValueError, match=match):
+            build_ldpc(n, rate)
+
+    def test_encode_wrong_length_rejected(self):
+        code = build_ldpc(24, 0.5, seed=0)
+        with pytest.raises(ValueError):
+            code.encode(np.zeros(code.message_length + 1, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
         "h, match",
         [
             ([[1, 1, 0], [0, 0, 0], [0, 1, 1]], "check rows \\[1\\]"),

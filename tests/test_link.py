@@ -182,12 +182,21 @@ class TestComputeLlrs:
             llr = compute_llrs_block(ch, lab, [2])[0]
         np.testing.assert_array_equal(llr, [0.0])
 
-    @pytest.mark.parametrize("y", [-1, 2], ids=["negative", "past-end"])
-    def test_output_index_outside_alphabet_rejected(self, y):
+    @pytest.mark.parametrize(
+        "y, match",
+        [(-1, r"\[0, 2\)"), (2, r"\[0, 2\)"), (1.7, "integers"), (1.0, "integers"), (True, "integers")],
+        ids=["negative", "past-end", "fraction", "float", "bool"],
+    )
+    def test_output_index_outside_alphabet_rejected(self, y, match):
         ch = DmcChannel.from_probs(np.array([[0.8, 0.2], [0.2, 0.8]]))
         lab = SymbolLabeling.from_mask(SubsetMask.full(2))
-        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        with pytest.raises(ValueError, match=match):
             compute_llrs_block(ch, lab, [y])
+
+    def test_no_outputs_give_an_empty_block(self):
+        ch = DmcChannel.from_probs(np.array([[0.8, 0.2], [0.2, 0.8]]))
+        lab = SymbolLabeling.from_mask(SubsetMask.full(2))
+        assert compute_llrs_block(ch, lab, []).shape == (0, 1)
 
     def test_selected_input_outside_alphabet_rejected(self):
         ch = DmcChannel.from_probs(np.array([[0.8, 0.2], [0.2, 0.8]]))
@@ -281,6 +290,12 @@ class TestRunCodedBer:
         mask = SubsetMask.from_indices(16, [0, 5])
         with pytest.raises(ValueError):
             run_coded_ber(h, mask, [10.0], n=24, total_rate=1.5)
+
+    def test_mask_length_must_be_input_count(self):
+        h = random_h(2, 2, seed=83)
+        mask = SubsetMask.from_indices(64, [0, 5, 10, 15])
+        with pytest.raises(ValueError, match="QPSK input alphabet"):
+            run_coded_ber(h, mask, [10.0], n=24, total_rate=1.0)
 
     @pytest.mark.parametrize(
         "override",

@@ -238,6 +238,14 @@ class TestComplexChannelMatrix:
         with pytest.raises(ValueError):
             ComplexChannelMatrix(np.array([[np.inf + 0j]]))
 
+    @pytest.mark.parametrize(
+        "entries", [np.zeros((0, 2)), np.zeros((2, 0)), np.ones(3), np.ones((1, 1, 1))],
+        ids=["no-rows", "no-columns", "1-d", "3-d"],
+    )
+    def test_rejects_empty_or_not_2d(self, entries):
+        with pytest.raises(ValueError, match="2-D and non-empty"):
+            ComplexChannelMatrix(entries)
+
     def test_rejects_bad_dict(self):
         with pytest.raises(ValueError):
             ComplexChannelMatrix.from_dict({"re": [[1.0]]})

@@ -103,6 +103,13 @@ class TestUniformSubsetRate:
         assert uniform_subset_rate(ch, mask) <= 2.0 + 1e-12
 
 
+@pytest.mark.parametrize("scalar", [uniform_subset_rate, ser_ml, cutoff_rate])
+def test_scalar_rate_rejects_mask_of_wrong_length(scalar):
+    ch = random_channel(6, 4, seed=12)
+    with pytest.raises(ValueError, match="mask length"):
+        scalar(ch, SubsetMask.from_indices(5, [0, 2]))
+
+
 class TestSerMl:
     def test_noiseless(self):
         ch = DmcChannel.from_probs(np.eye(5))

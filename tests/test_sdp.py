@@ -225,6 +225,8 @@ class TestSolveSdp:
             solve_sdp(g, k=2, tol=float("nan"))
         with pytest.raises(ValueError, match="max_iter"):
             solve_sdp(g, k=2, max_iter=0)
+        with pytest.raises(ValueError, match="M x M"):
+            solve_sdp(np.ones((3, 4)), k=2)
 
     @BAD_GRAMS
     def test_gram_not_finite_or_not_symmetric_rejected(self, kind):
@@ -438,6 +440,10 @@ def bundled_k64():
 
 
 class TestRoundSolution:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RoundingConfig(rng_seed=-1)
+
     def test_traced_peak_does_not_grow_with_draws(self, bundled_k64):
         # One stack of all 4,001 candidates' K x K Gram gathers took 135 MiB.
         a, v = bundled_k64

@@ -82,6 +82,12 @@ class TestExhaustiveSelect:
         with pytest.raises(ValueError, match="guard"):
             exhaustive_select(ch, 20, "ser")
 
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_k_outside_range_rejected(self, k):
+        ch = random_channel(6, 4, seed=0)
+        with pytest.raises(ValueError, match=r"k must be in \[2, 6\]"):
+            exhaustive_select(ch, k, "rate")
+
     def test_unknown_criterion(self):
         ch = random_channel(4, 4, seed=0)
         with pytest.raises(ValueError):
@@ -183,7 +189,7 @@ class TestExhaustiveBitIdentity:
         monkeypatch.setattr(
             subset_search,
             "_swap_descent",
-            lambda ch, sel, crit: (sel, float(SCORERS[crit](ch, np.asarray(sel, np.intp)))),
+            lambda parts, sel: (sel, float(rates._score(parts, np.asarray(sel, np.intp)))),
         )
         self.check(small_mimo_channel(64, snr_db=10.0, n=3), 4, criterion)
         for ch in (small_mimo_channel(63, snr_db=0.0), duplicated_rows_channel()):
@@ -248,11 +254,10 @@ def sparse_channel():
 def all_nodes(ch, k, criterion, n_sub):
     """The nodes and bounds of every depth 1..k-1, unpruned."""
     parts = rates._COLUMN_SCORERS[criterion](ch)
-    step = subset_search._row_step(parts, criterion)
     nodes = np.empty((1, 0), np.min_scalar_type(ch.num_inputs - 1))
     levels = []
     for _ in range(1, k):
-        nodes, bound = subset_search._nodes(parts, criterion, step, ch.num_inputs, k, nodes, -math.inf, n_sub)
+        nodes, bound = subset_search._nodes(parts, ch.num_inputs, k, nodes, -math.inf, n_sub)
         levels.append((nodes, bound))
     return levels
 
@@ -306,8 +311,7 @@ class TestPrefixBounds:
                     best[combo[:-1]] = (combo, val)
             prefixes = np.asarray(list(best), dtype=np.uint8)
             parts = rates._COLUMN_SCORERS[criterion](ch)
-            step = subset_search._row_step(parts, criterion)
-            leaves, bound = subset_search._nodes(parts, criterion, step, m, k, prefixes, -math.inf, 1)
+            leaves, bound = subset_search._nodes(parts, m, k, prefixes, -math.inf, 1)
             assert [tuple(leaf) for leaf in leaves.tolist()] == [c for c, _ in best.values()], k
             assert bound.tobytes() == np.array([v for _, v in best.values()]).tobytes(), k
 
@@ -353,7 +357,7 @@ class TestSwapDescent:
         cases += [(noiseless, [0, 4, 8]), (random_channel(9, 5, seed=71), [2, 5, 6, 8])]
         cases += [(random_channel(5, 3, seed=72), [0, 1, 2, 3, 4])]  # k = m: nothing to swap
         for ch, start in cases:
-            sel, val = subset_search._swap_descent(ch, np.asarray(start), criterion)
+            sel, val = subset_search._swap_descent(rates._COLUMN_SCORERS[criterion](ch), np.asarray(start))
             want_sel, want_val = reference_descent(ch, start, criterion)
             assert sel.tolist() == want_sel, (start, criterion)
             assert val == want_val
@@ -367,7 +371,7 @@ class TestSwapDescent:
         # every swap that brings in another output reaches 1 bit; position 0
         # with the smallest outside input, 1, comes first.
         ch = DmcChannel.from_probs(np.eye(4)[np.arange(12) % 4])
-        sel, val = subset_search._swap_descent(ch, np.array([0, 4]), "rate")
+        sel, val = subset_search._swap_descent(rates._rate_parts(ch), np.array([0, 4]))
         assert sel.tolist() == [1, 4]
         assert val == 1.0
 
@@ -433,6 +437,15 @@ class TestBsaSelect:
             bsa_select(ch, BsaConfig(k=4, restarts=1, rng_seed=0))
         with pytest.raises(ValueError, match="at least 3 inputs, got 2"):
             bsa_select(random_channel(2, 4, seed=0), BsaConfig(k=2, restarts=1, rng_seed=0))
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"k": 1}, "k must be at least 2"), ({"k": 4, "rng_seed": -1}, "non-negative")],
+        ids=["k-1", "negative-seed"],
+    )
+    def test_config_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            BsaConfig(**kwargs)
 
     def test_traced_peak_does_not_grow_with_restarts(self):
         # Restarts descend in groups of about _RESTART_GROUP_ENTRIES
