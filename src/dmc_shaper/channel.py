@@ -131,10 +131,34 @@ class InputDistribution:
         return cls(p)
 
 
+def check_integer(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is an integer. A bool is refused:
+    it is an Integral, and numpy would read True as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_subset_size(m: int, k) -> None:
+    """The subset-size rule of every selection method: k is an integer in
+    [2, m]. Raises ValueError otherwise."""
+    check_integer(k, "k")
+    if not 2 <= k <= m:
+        raise ValueError(f"k = {k} is out of range: k must be in [2, {m}]")
+
+
+def check_seed(seed, name: str) -> None:
+    """The rule for every seed, called ``name`` in the message: a
+    non-negative integer. Raises ValueError otherwise."""
+    check_integer(seed, name)
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True, eq=False)
 class SubsetMask:
     """Boolean selector over the M inputs; ``k``, its number of true entries,
-    is derived and must lie in [2, M]. Masks compare and hash by ``bits``."""
+    is derived and must pass ``check_subset_size``. Masks compare and hash by
+    ``bits``."""
 
     bits: np.ndarray
 
@@ -143,8 +167,7 @@ class SubsetMask:
         if bits.ndim != 1:
             raise ValueError("mask bits must be 1-D")
         object.__setattr__(self, "bits", _freeze(bits))
-        if not (2 <= self.k <= self.m):
-            raise ValueError(f"k must be in [2, {self.m}], got {self.k}")
+        check_subset_size(self.m, self.k)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SubsetMask) and np.array_equal(self.bits, other.bits)

@@ -23,6 +23,7 @@ from .channel import (
     load_channel,
     save_channel,
 )
+from .channel import check_seed, check_subset_size
 from .link import run_coded_ber
 from .mimo import ComplexChannelMatrix, SnrPoint, build_quantized_mimo, example_h4x4, load_h_matrix
 from .rates import blahut_arimoto, check_stopping_rule, uniform_subset_rate
@@ -226,16 +227,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for flag, values in (("--k", ks), ("--methods", methods)):
         if len(set(values)) != len(values):
             raise ValueError(f"{flag} values must be distinct, got {values}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     m = 4**h.n_tx
-    for k in ks:
-        if not (2 <= k <= m):
-            raise ValueError(f"k={k} out of range for an alphabet of {m} inputs")
     configs = [(k, method) for k in ks for method in methods]
     # Fail before the first SNR point rather than after the earlier ones ran.
     check_stopping_rule(args.ba_tol, args.ba_max_iter)
     for k, method in configs:
+        check_subset_size(m, k)
         if method == "bsa":
             check_bsa_size(m, k)
             BsaConfig(k=k, restarts=args.restarts)
@@ -254,8 +251,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_coded_ber(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     h = _load_h(args.h_matrix)
     m = 4**h.n_tx
     mask = _load_mask(args.mask, m)
@@ -405,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Every --seed flag is checked here, before its command does any work.
+        check_seed(getattr(args, "seed", 0), "--seed")
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .channel import DmcChannel, SubsetMask
+from .channel import DmcChannel, SubsetMask, check_seed
 # bp_decode stays importable from here: perfbench/spans.py traces it by this name.
 from .ldpc import LLR_CLIP, bp_decode, bp_decode_batch, build_ldpc  # noqa: F401
 from .mimo import (
@@ -177,8 +177,8 @@ def run_coded_ber(
     seeds = tuple(seeds)
     if not seeds or min_frame_errors < 1 or max_frames < 1:
         raise ValueError("need a code seed, and min_frame_errors and max_frames of at least 1")
-    if min(seeds) < 0:
-        raise ValueError(f"code seeds must be non-negative, got {list(seeds)}")
+    for seed in seeds:
+        check_seed(seed, "code seed")
     snrs = [float(snr_db) for snr_db in snr_db_list]
     if len(set(snrs)) != len(snrs):
         raise ValueError(f"SNR points must be distinct, got {snrs}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DmcChannel, SubsetMask
+from .channel import DmcChannel, SubsetMask, check_seed, check_subset_size
 from .mimo import qpsk_rotation
 from .rates import check_stopping_rule, cutoff_bits, cutoff_rate
 
@@ -47,14 +47,16 @@ class SdpSolution:
 
 @dataclass(frozen=True)
 class RoundingConfig:
+    """Rounding draws and their seed; ``rng_seed`` must pass
+    ``channel.check_seed``."""
+
     n_rand: int = 100
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if not (1 <= self.n_rand <= 10**6):
             raise ValueError("n_rand must be in [1, 10^6]")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+        check_seed(self.rng_seed, "rng_seed")
 
 
 def build_gram(ch: DmcChannel) -> np.ndarray:
@@ -252,7 +254,8 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
     definite and ``s_hat`` is the last one.
 
     ``lower_bound`` is b^T y + (k+1) min(0, lambda_min(B - A*(y))): every
-    feasible S has trace k + 1, so none has a lower objective.
+    feasible S has trace k + 1, so none has a lower objective. ``k`` must
+    pass ``channel.check_subset_size`` for this M.
 
     When A is invariant under the QPSK input rotation (see ``_input_orbits``)
     so is the central path, and the loop works on the three Fourier blocks
@@ -264,8 +267,7 @@ def solve_sdp(a: np.ndarray, k: int, tol: float = 1e-6, max_iter: int = 5000) ->
     m = a.shape[0]
     if a.shape != (m, m) or m < 2:
         raise ValueError("Gram matrix must be M x M with M >= 2")
-    if not (2 <= k <= m):
-        raise ValueError(f"k must be in [2, {m}], got {k}")
+    check_subset_size(m, k)
     _check_gram(a)
 
     b_mat = np.pad(a, (0, 1))
@@ -402,7 +404,7 @@ def round_solution(
     (they sum to k), which for a rank-one S points along its dominant
     eigenvector. They are drawn, quantized and scored by b^T A b in blocks
     of about ``_ROUND_BLOCK_ENTRIES`` working entries; the first strict
-    minimum wins.
+    minimum wins. ``k`` must pass ``channel.check_subset_size`` for this M.
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[1]
@@ -410,8 +412,7 @@ def round_solution(
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (m, m):
         raise ValueError(f"Gram matrix must be {m} x {m} for {n} factor columns, got {a.shape}")
-    if not (2 <= k <= m):
-        raise ValueError(f"k must be in [2, {m}], got {k}")
+    check_subset_size(m, k)
     _check_gram(a)
 
     def candidate(i: int) -> np.ndarray:

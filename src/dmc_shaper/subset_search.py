@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rates
-from .channel import DmcChannel, SubsetMask
+from .channel import DmcChannel, SubsetMask, check_seed, check_subset_size
 from .rates import cutoff_rate, ser_ml, uniform_subset_rate
 
 EXHAUSTIVE_GUARD = 10**7
@@ -94,6 +94,9 @@ _RESTART_GROUP_ENTRIES = 2**17
 
 @dataclass(frozen=True)
 class BsaConfig:
+    """Subset size, restart count and seed of a switching search;
+    ``rng_seed`` must pass ``channel.check_seed``."""
+
     k: int
     restarts: int = 20
     rng_seed: int = 0
@@ -105,8 +108,7 @@ class BsaConfig:
             raise ValueError("restarts must be at least 1")
         if self.restarts > 10**6:
             raise ValueError("restarts must be at most 10^6")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+        check_seed(self.rng_seed, "rng_seed")
 
 
 @dataclass(frozen=True)
@@ -121,17 +123,19 @@ class BsaResult:
 
 
 def check_bsa_size(m: int, k: int) -> None:
-    """Raise ValueError unless switching search can pick k of m inputs."""
+    """Raise ValueError unless switching search can pick k of m inputs: it
+    needs m >= 3, and k must pass ``channel.check_subset_size`` for m - 1,
+    so that an input is left to swap in."""
     if m < 3:
         raise ValueError(f"binary switching needs at least 3 inputs, got {m}")
-    if not (2 <= k < m):
-        raise ValueError(f"k must be in [2, {m - 1}], got {k}")
+    check_subset_size(m - 1, k)
 
 
 def check_exhaustive_size(m: int, k: int) -> None:
-    """Raise ValueError unless exhaustive search over C(m, k) subsets is allowed."""
-    if not (2 <= k <= m):
-        raise ValueError(f"k must be in [2, {m}], got {k}")
+    """Raise ValueError unless exhaustive search over C(m, k) subsets is
+    allowed: k must pass ``channel.check_subset_size`` and C(m, k) must be
+    at most ``EXHAUSTIVE_GUARD``."""
+    check_subset_size(m, k)
     n_subsets = math.comb(m, k)
     if n_subsets > EXHAUSTIVE_GUARD:
         raise ValueError(
