@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import check_integer, check_seed
+from .mimo import _MAX_MATRIX_BYTES
+
 LLR_CLIP = 40.0
 # tanh(LLR_CLIP / 2) rounds to 1.0; clip inside the open interval instead.
 _TANH_LIMIT = 1.0 - 1e-15
@@ -173,7 +176,16 @@ def _systematic_generator(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_ldpc(n: int, rate: float, seed: int = 0) -> LdpcCode:
-    """Random column-weight-3 code of length n at (nearly) the given rate."""
+    """Random column-weight-3 code of length n at (nearly) the given rate.
+
+    A build holds four dense arrays at once: the (m, n) parity matrix and
+    its elimination copy, and the (n - m, n) generator in uint8 and in
+    float64. A length whose arrays would take more than
+    ``mimo._MAX_MATRIX_BYTES`` (1 GiB) is refused before any is allocated;
+    at rate 1/2 that allows n up to about 14,000.
+    """
+    check_integer(n, "n")
+    check_seed(seed, "seed")
     if not (0.0 < rate < 1.0):
         raise ValueError("rate must lie strictly between 0 and 1")
     m = int(round(n * (1.0 - rate)))
@@ -182,6 +194,12 @@ def build_ldpc(n: int, rate: float, seed: int = 0) -> LdpcCode:
     achieved = (n - m) / n
     if abs(achieved - rate) > 1.0 / n:
         raise ValueError(f"achievable rate {achieved} is off the request by > 1/{n}")
+    need = n * (2 * m + 9 * (n - m))
+    if need > _MAX_MATRIX_BYTES:
+        raise ValueError(
+            f"a length-{n} code with {m} checks needs {need} bytes of dense arrays, "
+            f"over the {_MAX_MATRIX_BYTES}-byte budget"
+        )
     last_error: Exception | None = None
     for attempt in range(10):
         rng = np.random.default_rng([seed, attempt])

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dmc_shaper import LdpcCode, bp_decode, build_ldpc
+from dmc_shaper import LdpcCode, bp_decode, build_ldpc, ldpc
 from dmc_shaper.ldpc import BP_MAX_ITER, RankDeficientError, bp_decode_batch
 
 
@@ -88,12 +88,42 @@ class TestBuildLdpc:
             # At this length the float rounding of n (1 - rate) alone is
             # more than 1/n; the check fires before any matrix is built.
             (10**17, 0.3, "off the request"),
+            # Dense arrays of about 4e32 bytes: refused before any is allocated.
+            (10**16, 0.3, "byte budget"),
+            (24.0, 0.5, "n must be an integer"),
         ],
-        ids=["too-few-checks", "no-message-bits", "rate-off"],
+        ids=["too-few-checks", "no-message-bits", "rate-off", "over-budget", "float-length"],
     )
     def test_unbuildable_request_rejected(self, n, rate, match):
         with pytest.raises(ValueError, match=match):
             build_ldpc(n, rate)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            build_ldpc(24, 0.5, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert build_ldpc(24, 0.5, seed=np.int64(3)) == build_ldpc(24, 0.5, seed=3)
+
+    def test_light_check_row_redrawn(self, monkeypatch):
+        # A first draw with a check row of weight 1 is discarded, and the
+        # code of the second attempt's stream is returned.
+        fill = ldpc._fill_parity_matrix
+        draws = []
+
+        def light_first_draw(n, m, rng):
+            h = fill(n, m, rng)
+            if not draws:
+                h[0] = 0
+                h[0, 0] = 1
+            draws.append(h)
+            return h
+
+        monkeypatch.setattr(ldpc, "_fill_parity_matrix", light_first_draw)
+        code = build_ldpc(24, 0.5, seed=0)
+        assert len(draws) == 2
+        assert code == LdpcCode(fill(24, 12, np.random.default_rng([0, 1])))
 
     def test_encode_wrong_length_rejected(self):
         code = build_ldpc(24, 0.5, seed=0)
