@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .channel import DmcChannel, SubsetMask, check_seed
+from .channel import DmcChannel, SubsetMask, check_integer, check_seed
 # bp_decode stays importable from here: perfbench/spans.py traces it by this name.
 from .ldpc import LLR_CLIP, bp_decode, bp_decode_batch, build_ldpc  # noqa: F401
 from .mimo import (
@@ -175,6 +175,8 @@ def run_coded_ber(
     the number of checks depends only on ``n`` and ``total_rate``.
     """
     seeds = tuple(seeds)
+    check_integer(min_frame_errors, "min_frame_errors")
+    check_integer(max_frames, "max_frames")
     if not seeds or min_frame_errors < 1 or max_frames < 1:
         raise ValueError("need a code seed, and min_frame_errors and max_frames of at least 1")
     for seed in seeds:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DmcChannel, SubsetMask, check_seed, check_subset_size
+from .channel import DmcChannel, SubsetMask, check_integer, check_seed, check_subset_size
 from .mimo import qpsk_rotation
 from .rates import check_stopping_rule, cutoff_bits, cutoff_rate
 
@@ -47,13 +47,14 @@ class SdpSolution:
 
 @dataclass(frozen=True)
 class RoundingConfig:
-    """Rounding draws and their seed; ``rng_seed`` must pass
-    ``channel.check_seed``."""
+    """Rounding draws and their seed: ``n_rand`` is an integer in [1, 10^6]
+    and ``rng_seed`` must pass ``channel.check_seed``."""
 
     n_rand: int = 100
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_integer(self.n_rand, "n_rand")
         if not (1 <= self.n_rand <= 10**6):
             raise ValueError("n_rand must be in [1, 10^6]")
         check_seed(self.rng_seed, "rng_seed")

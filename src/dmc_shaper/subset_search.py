@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rates
-from .channel import DmcChannel, SubsetMask, check_seed, check_subset_size
+from .channel import DmcChannel, SubsetMask, check_integer, check_seed, check_subset_size
 from .rates import cutoff_rate, ser_ml, uniform_subset_rate
 
 EXHAUSTIVE_GUARD = 10**7
@@ -94,16 +94,20 @@ _RESTART_GROUP_ENTRIES = 2**17
 
 @dataclass(frozen=True)
 class BsaConfig:
-    """Subset size, restart count and seed of a switching search;
-    ``rng_seed`` must pass ``channel.check_seed``."""
+    """Subset size, restart count and seed of a switching search: k is an
+    integer of at least 2 (``bsa_select`` checks it against M with
+    ``check_bsa_size``), restarts an integer in [1, 10^6], and ``rng_seed``
+    must pass ``channel.check_seed``."""
 
     k: int
     restarts: int = 20
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_integer(self.k, "k")
         if self.k < 2:
             raise ValueError("k must be at least 2")
+        check_integer(self.restarts, "restarts")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.restarts > 10**6:

@@ -19,6 +19,7 @@ from dmc_shaper import (
     save_channel,
     uniform_subset_rate,
 )
+from dmc_shaper.channel import check_seed, check_subset_size
 
 
 def restrict(ch, mask):
@@ -165,6 +166,41 @@ class TestSubsetMask:
     def test_non_integer_index(self, indices):
         with pytest.raises(ValueError, match="integers"):
             SubsetMask.from_indices(16, indices)
+
+
+class TestSharedRules:
+    @pytest.mark.parametrize(
+        "k, match",
+        [
+            (1, r"k = 1 is out of range: k must be in \[2, 16\]"),
+            (17, r"k = 17 is out of range: k must be in \[2, 16\]"),
+            (4.0, "k must be an integer, got 4.0"),
+            (True, "k must be an integer, got True"),
+            (np.float64(4), "k must be an integer"),
+        ],
+        ids=["below", "above", "float", "bool", "numpy-float"],
+    )
+    def test_subset_size_rejected(self, k, match):
+        with pytest.raises(ValueError, match=match):
+            check_subset_size(16, k)
+
+    @pytest.mark.parametrize(
+        "seed, match",
+        [
+            (-1, "--seed must be non-negative, got -1"),
+            (1.5, "--seed must be an integer, got 1.5"),
+            (True, "--seed must be an integer, got True"),
+        ],
+        ids=["negative", "float", "bool"],
+    )
+    def test_seed_rejected(self, seed, match):
+        with pytest.raises(ValueError, match=match):
+            check_seed(seed, "--seed")
+
+    def test_numpy_integers_accepted(self):
+        check_subset_size(16, np.int64(2))
+        check_subset_size(16, np.uint8(16))
+        check_seed(np.int64(0), "seed")
 
 
 class TestRestrict:

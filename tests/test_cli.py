@@ -212,6 +212,19 @@ class TestSelect:
         exh_doc = json.loads(out_exh)
         assert exh_doc["value"] >= sdp_doc["cutoff_rate_bits"] - 1e-12
 
+    @pytest.mark.parametrize("method", ["sdp", "bsa"])
+    def test_negative_seed_rejected_before_any_work(self, capsys, monkeypatch, method):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the channel was loaded")
+
+        monkeypatch.setattr(cli, "load_channel", no_work)
+        code, out, err = run_cli(
+            capsys, "select", method, "--channel", "unused.json", "--k", "4", "--seed=-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed must be non-negative, got -1\n"
+
     def test_seeded_commands_bit_reproducible(self, capsys, mimo_channel_file):
         args = ["select", "sdp", "--channel", mimo_channel_file,
                 "--k", "4", "--seed", "9", "--nrand", "30", "--tol", "1e-7"]
@@ -460,6 +473,17 @@ class TestCodedBer:
         assert code == 1
         assert out == ""
         assert err == "error: --seed must be non-negative, got -1\n"
+
+    def test_code_length_over_budget_rejected(self, capsys, h_file):
+        # Length 200,000 at rate 1/2 would need about 2.2e11 bytes of dense arrays.
+        code, out, err = run_cli(
+            capsys, "coded-ber", "--h-matrix", h_file, "--mask", "full",
+            "--snr-db", "10", "--n", "200000", "--total-rate", "2.0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "byte budget" in err
 
     @pytest.mark.parametrize("snr_db", [",", "4000", "0,inf"])
     def test_unusable_snr_rejected(self, capsys, h_file, monkeypatch, snr_db):

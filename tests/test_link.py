@@ -299,11 +299,23 @@ class TestRunCodedBer:
 
     @pytest.mark.parametrize(
         "override",
-        [{"seeds": ()}, {"min_frame_errors": 0}, {"max_frames": 0}],
-        ids=["no-seeds", "no-frame-errors", "no-frames"],
+        [
+            {"seeds": ()},
+            {"min_frame_errors": 0},
+            {"max_frames": 0},
+            {"min_frame_errors": 2.5},
+            {"min_frame_errors": True},
+            {"max_frames": 2.5},
+            {"max_frames": True},
+        ],
+        ids=[
+            "no-seeds", "no-frame-errors", "no-frames", "float-frame-errors",
+            "bool-frame-errors", "float-frames", "bool-frames",
+        ],
     )
     def test_non_measurements_rejected(self, override):
-        # Each of these would report a BER of 0 (or nothing) from 0 frames.
+        # The zero counts would report a BER of 0 (or nothing) from 0 frames;
+        # a float fails partway, and True would run as a count of 1.
         h = random_h(2, 2, seed=83)
         mask = SubsetMask.from_indices(16, [0, 5, 10, 15])
         kwargs = dict(n=24, total_rate=1.0, seeds=(0,), min_frame_errors=3, max_frames=20)
@@ -320,6 +332,25 @@ class TestRunCodedBer:
         mask = SubsetMask.from_indices(16, [0, 5, 10, 15])
         with pytest.raises(ValueError, match="non-negative"):
             run_coded_ber(h, mask, [0.0, 10.0], n=24, total_rate=1.0, seeds=(0, -1))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_bad_code_seed_rejected(self, seed):
+        h = random_h(2, 2, seed=83)
+        mask = SubsetMask.from_indices(16, [0, 5, 10, 15])
+        with pytest.raises(ValueError, match="code seed must be"):
+            run_coded_ber(h, mask, [10.0], n=24, total_rate=1.0, seeds=(0, seed))
+
+    def test_numpy_integer_counts_accepted(self):
+        h = random_h(2, 2, seed=83)
+        mask = SubsetMask.from_indices(16, [0, 5, 10, 15])
+        kwargs = dict(n=24, total_rate=1.0)
+        got = run_coded_ber(
+            h, mask, [0.0], seeds=(np.int64(1),), min_frame_errors=np.int64(3),
+            max_frames=np.int64(20), **kwargs,
+        )
+        assert got == run_coded_ber(
+            h, mask, [0.0], seeds=(1,), min_frame_errors=3, max_frames=20, **kwargs
+        )
 
     def test_repeated_snr_points_rejected(self):
         # A repeated point reuses the same (seed, frame) streams, so its

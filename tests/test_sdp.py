@@ -41,6 +41,12 @@ from dmc_shaper.mimo import qpsk_rotation
 from dmc_shaper.sdp import SdpSolution, _input_orbits, _quantize_top_k
 
 
+# Subset sizes that are not integers: numpy would read True as 1.
+NON_INTEGER_K = pytest.mark.parametrize(
+    "k", [4.0, True, np.float64(4)], ids=["float", "bool", "numpy-float"]
+)
+
+
 def bsc(p):
     return DmcChannel.from_probs(np.array([[1 - p, p], [p, 1 - p]]))
 
@@ -232,6 +238,11 @@ class TestSolveSdp:
     def test_gram_not_finite_or_not_symmetric_rejected(self, kind):
         with pytest.raises(ValueError, match="finite and exactly symmetric"):
             solve_sdp(bad_gram(kind), k=3)
+
+    @NON_INTEGER_K
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            solve_sdp(build_gram(random_channel(6, 4, seed=0)), k)
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +455,27 @@ class TestRoundSolution:
         with pytest.raises(ValueError, match="non-negative"):
             RoundingConfig(rng_seed=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"rng_seed": 1.5}, "rng_seed must be an integer"),
+            ({"rng_seed": True}, "rng_seed must be an integer"),
+            ({"n_rand": 2.5}, "n_rand must be an integer"),
+            ({"n_rand": True}, "n_rand must be an integer"),
+            ({"n_rand": 0}, r"n_rand must be in \[1, 10\^6\]"),
+        ],
+        ids=["float-seed", "bool-seed", "float-draws", "bool-draws", "no-draws"],
+    )
+    def test_config_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            RoundingConfig(**kwargs)
+
+    @NON_INTEGER_K
+    def test_non_integer_k_rejected(self, k):
+        v = psd_factorize(SdpSolution(np.eye(7), 0.0, 0.0, 0.0, 1, True, 0.0))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            round_solution(v, k, np.eye(6), RoundingConfig(n_rand=1))
+
     def test_traced_peak_does_not_grow_with_draws(self, bundled_k64):
         # One stack of all 4,001 candidates' K x K Gram gathers took 135 MiB.
         a, v = bundled_k64
@@ -592,6 +624,27 @@ class TestRoundSolution:
 
 
 class TestSdpSelect:
+    @NON_INTEGER_K
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            sdp_select(small_mimo_channel(seed=520), k)
+
+    def test_numpy_integers_accepted(self):
+        ch = small_mimo_channel(seed=520)
+        cfg = RoundingConfig(n_rand=np.int64(20), rng_seed=np.int64(3))
+        got = sdp_select(ch, np.int64(4), tol=1e-6, cfg=cfg)
+        want = sdp_select(ch, 4, tol=1e-6, cfg=RoundingConfig(n_rand=20, rng_seed=3))
+        assert got.mask == want.mask
+        assert got.rounded_objective == want.rounded_objective
+        assert got.cutoff_rate_bits == want.cutoff_rate_bits
+
+    def test_default_rounding_config(self):
+        ch = small_mimo_channel(seed=520)
+        got = sdp_select(ch, 4, tol=1e-6)
+        want = sdp_select(ch, 4, tol=1e-6, cfg=RoundingConfig())
+        assert got.mask == want.mask
+        assert got.rounded_objective == want.rounded_objective
+
     def test_noiseless_full_cutoff(self):
         ch = DmcChannel.from_probs(np.eye(8))
         res = sdp_select(ch, 4, tol=1e-8, cfg=RoundingConfig(n_rand=20, rng_seed=0))

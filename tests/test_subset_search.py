@@ -27,6 +27,12 @@ from dmc_shaper import (
 )
 
 
+# Subset sizes that are not integers: numpy would read True as 1.
+NON_INTEGER_K = pytest.mark.parametrize(
+    "k", [4.0, True, np.float64(4)], ids=["float", "bool", "numpy-float"]
+)
+
+
 def random_channel(m, l, seed):
     rng = np.random.default_rng(seed)
     return DmcChannel.from_probs(rng.dirichlet(np.ones(l), size=m))
@@ -87,6 +93,17 @@ class TestExhaustiveSelect:
         ch = random_channel(6, 4, seed=0)
         with pytest.raises(ValueError, match=r"k must be in \[2, 6\]"):
             exhaustive_select(ch, k, "rate")
+
+    @NON_INTEGER_K
+    def test_non_integer_k_rejected(self, k):
+        ch = random_channel(6, 4, seed=0)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            exhaustive_select(ch, k, "rate")
+
+    def test_numpy_integer_k_accepted(self):
+        ch = random_channel(6, 4, seed=0)
+        mask, value = exhaustive_select(ch, np.int64(3), "rate")
+        assert (mask, value) == exhaustive_select(ch, 3, "rate")
 
     def test_unknown_criterion(self):
         ch = random_channel(4, 4, seed=0)
@@ -440,12 +457,38 @@ class TestBsaSelect:
 
     @pytest.mark.parametrize(
         "kwargs, match",
-        [({"k": 1}, "k must be at least 2"), ({"k": 4, "rng_seed": -1}, "non-negative")],
-        ids=["k-1", "negative-seed"],
+        [
+            ({"k": 1}, "k must be at least 2"),
+            ({"k": 4, "rng_seed": -1}, "non-negative"),
+            ({"k": 4.0}, "k must be an integer"),
+            ({"k": 4, "restarts": 2.5}, "restarts must be an integer"),
+            ({"k": 4, "restarts": True}, "restarts must be an integer"),
+            ({"k": 4, "rng_seed": 1.5}, "rng_seed must be an integer"),
+            ({"k": 4, "rng_seed": True}, "rng_seed must be an integer"),
+        ],
+        ids=[
+            "k-1", "negative-seed", "float-k", "float-restarts", "bool-restarts",
+            "float-seed", "bool-seed",
+        ],
     )
     def test_config_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             BsaConfig(**kwargs)
+
+    @NON_INTEGER_K
+    def test_non_integer_k_rejected(self, k):
+        # BsaConfig refuses it, and so does the size check bsa_select makes.
+        with pytest.raises(ValueError, match="k must be an integer"):
+            bsa_select(small_mimo_channel(seed=43), BsaConfig(k=k, restarts=1))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            subset_search.check_bsa_size(16, k)
+
+    def test_numpy_integers_accepted(self):
+        ch = small_mimo_channel(seed=43)
+        got = bsa_select(
+            ch, BsaConfig(k=np.int64(4), restarts=np.int64(3), rng_seed=np.int64(5))
+        )
+        assert got == bsa_select(ch, BsaConfig(k=4, restarts=3, rng_seed=5))
 
     def test_traced_peak_does_not_grow_with_restarts(self):
         # Restarts descend in groups of about _RESTART_GROUP_ENTRIES
