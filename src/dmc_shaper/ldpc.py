@@ -185,6 +185,7 @@ def build_ldpc(n: int, rate: float, seed: int = 0) -> LdpcCode:
     at rate 1/2 that allows n up to about 14,000.
     """
     check_integer(n, "n")
+    n = int(n)  # a numpy integer would overflow in the byte count below
     check_seed(seed, "seed")
     if not (0.0 < rate < 1.0):
         raise ValueError("rate must lie strictly between 0 and 1")

@@ -90,9 +90,13 @@ class TestBuildLdpc:
             (10**17, 0.3, "off the request"),
             # Dense arrays of about 4e32 bytes: refused before any is allocated.
             (10**16, 0.3, "byte budget"),
+            (np.int64(10**16), 0.3, "byte budget"),
             (24.0, 0.5, "n must be an integer"),
         ],
-        ids=["too-few-checks", "no-message-bits", "rate-off", "over-budget", "float-length"],
+        ids=[
+            "too-few-checks", "no-message-bits", "rate-off", "over-budget",
+            "numpy-over-budget", "float-length",
+        ],
     )
     def test_unbuildable_request_rejected(self, n, rate, match):
         with pytest.raises(ValueError, match=match):
