@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DmcChannel, InputDistribution, SubsetMask
+from .channel import DmcChannel, InputDistribution, SubsetMask, check_integer
 
 _LN2 = math.log(2.0)
 
@@ -208,6 +208,7 @@ def check_stopping_rule(tol: float, max_iter: int) -> None:
     """Raise ValueError unless an iterative solver can stop on (tol, max_iter)."""
     if not tol > 0.0:  # NaN fails this test too
         raise ValueError("tol must be positive")
+    check_integer(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 

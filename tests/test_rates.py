@@ -365,3 +365,9 @@ class TestBlahutArimoto:
             blahut_arimoto(bsc(0.1), tol=math.nan)
         with pytest.raises(ValueError, match="max_iter"):
             blahut_arimoto(bsc(0.1), max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [2.5, True], ids=["float", "bool"])
+    def test_non_integer_max_iter(self, max_iter):
+        # True would run a single iteration.
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            blahut_arimoto(bsc(0.1), max_iter=max_iter)
