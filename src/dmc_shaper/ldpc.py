@@ -1,11 +1,15 @@
-"""Random sparse parity-check codes with systematic encoding and
-sum-product decoding.
+"""Sparse parity-check codes with an accumulator parity part, encoded by a
+running XOR and decoded by sum-product.
 
-Construction fills columns one at a time with column weight 3, biased
-toward the currently lightest check rows and rejecting (up to a retry limit)
-placements that would close a length-4 cycle. ``LdpcCode(h)`` derives the
-systematic generator by GF(2) elimination with column pivoting; rank-deficient
-draws are retried with a fresh derived seed.
+A code's parity-check matrix is H = [H1 | T]: the n - m message columns H1
+and the m x m lower-bidiagonal accumulator T (ones on the diagonal and just
+below it), the structure of IRA codes (Jin, Khandekar & McEliece 2000) and
+of the IEEE 802.11n and DVB-S2 codes. T has full rank, so every H has, and
+a codeword is the message followed by the parity bits p with p_0 = s_0 and
+p_i = p_(i-1) xor s_i, where s = H1 u mod 2 for the message u.
+``build_ldpc`` fills H1 column by column with column weight 3, drawing from
+the currently lightest check rows and rejecting (up to a retry limit)
+placements that would close a length-4 cycle, with T's edges included.
 """
 
 from __future__ import annotations
@@ -20,22 +24,38 @@ from .mimo import _MAX_MATRIX_BYTES
 LLR_CLIP = 40.0
 # tanh(LLR_CLIP / 2) rounds to 1.0; clip inside the open interval instead.
 _TANH_LIMIT = 1.0 - 1e-15
-_COL_WEIGHT = 3  # checks per code bit in ``build_ldpc``
+_COL_WEIGHT = 3  # checks per message bit in ``build_ldpc``
 BP_MAX_ITER = 100  # flooding iterations before a frame stops unconverged
+
+
+def check_bits(bits: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` unless every entry of ``bits`` equals 0 or 1.
+
+    Values are compared, not cast: 1.0 and True pass, while 2, -1, 0.5 and
+    NaN do not.
+    """
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError(f"{name} must be 0 or 1")
+
+
+def _accumulator_edges(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each 1 of the m x m accumulator, in row-major order."""
+    twice = np.repeat(np.arange(m), 2)
+    return twice[1:], twice[:-1]
 
 
 @dataclass(eq=False)
 class LdpcCode:
-    """Parity-check matrix ``h`` with the systematic encoder derived from it.
+    """Parity-check matrix ``h`` = [H1 | T] of a code with an accumulator
+    parity part.
 
-    ``message_positions`` are the codeword coordinates that carry the message
-    verbatim; the rest are parity. ``h`` must have full row rank (else
-    ``RankDeficientError``) and no empty row or column. Codes compare by ``h``.
+    ``h`` must be a 2-D integer array of 0/1 entries with fewer rows m than
+    columns n, whose last m columns are the accumulator T and whose columns
+    each have an edge; otherwise ``ValueError``. The message is the first
+    n - m codeword bits. Codes compare by ``h``.
     """
 
     h: np.ndarray
-    generator: np.ndarray = field(init=False)
-    message_positions: np.ndarray = field(init=False)
 
     # Edge structure for message passing, derived once. Edges are numbered
     # in row-major order of h. Slot tables list, per check or per variable,
@@ -46,23 +66,35 @@ class LdpcCode:
     _row_edges: np.ndarray = field(init=False, repr=False)  # (max row weight, m)
     _row_vars: np.ndarray = field(init=False, repr=False)  # (max row weight, m)
     _col_edges: np.ndarray = field(init=False, repr=False)  # (max column weight, n)
-    # The generator as float64: BLAS sums its 0/1 products as exact integers.
-    _generator_f: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        chk, var = np.nonzero(self.h)
-        counts = np.bincount(chk, minlength=self.m_checks)
+        h = self.h
+        if not (
+            isinstance(h, np.ndarray)
+            and h.ndim == 2
+            and np.issubdtype(h.dtype, np.integer)
+            and h.shape[0] < h.shape[1]
+        ):
+            raise ValueError("h must be a 2-D integer array with fewer rows than columns")
+        chk, var = np.nonzero(h)
+        # Zeros pass, so only the nonzero entries need the 0/1 test.
+        check_bits(h[chk, var], "entries of h")
+        k = self.message_length
+        parity = var >= k
+        rows, cols = _accumulator_edges(self.m_checks)
+        if not (np.array_equal(chk[parity], rows) and np.array_equal(var[parity] - k, cols)):
+            raise ValueError(
+                f"the last {self.m_checks} columns of h must be the accumulator: "
+                "ones on the diagonal and just below it, zeros elsewhere"
+            )
         col_counts = np.bincount(var, minlength=self.n)
-        # A check without edges constrains nothing and a variable without
-        # edges is never checked: reject such a matrix here rather than
-        # decode with it.
-        if not counts.all():
-            raise ValueError(f"check rows {np.flatnonzero(counts == 0).tolist()} have no edges")
+        # A variable without edges is never checked: reject such a matrix
+        # here rather than decode with it. T gives every check an edge.
         if not col_counts.all():
             raise ValueError(
                 f"variable columns {np.flatnonzero(col_counts == 0).tolist()} have no edges"
             )
-        self.generator, self.message_positions = _systematic_generator(self.h)
+        counts = np.bincount(chk, minlength=self.m_checks)
         n_edges = chk.shape[0]
         edges = np.arange(n_edges)
         slot = edges - (np.cumsum(counts) - counts)[chk]
@@ -77,7 +109,6 @@ class LdpcCode:
         self._col_edges[slot, by_col] = col_order
         self._edge_check = chk
         self._edge_var = var
-        self._generator_f = np.asarray(self.generator, dtype=np.float64)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LdpcCode) and np.array_equal(self.h, other.h)
@@ -92,31 +123,34 @@ class LdpcCode:
 
     @property
     def message_length(self) -> int:
-        return self.message_positions.shape[0]
+        return self.n - self.m_checks
 
     @property
     def rate(self) -> float:
         return self.message_length / self.n
 
     def encode(self, message: np.ndarray) -> np.ndarray:
-        message = np.asarray(message, dtype=np.uint8)
-        if message.shape != (self.message_length,):
-            raise ValueError(
-                f"message must have length {self.message_length}, got {message.shape}"
-            )
-        sums = message.astype(np.float64) @ self._generator_f
-        return (sums.astype(np.int64) & 1).astype(np.uint8)
+        """The codeword of a 0/1 message: the message, then its parity bits."""
+        message = np.asarray(message)
+        k = self.message_length
+        if message.shape != (k,):
+            raise ValueError(f"message must have length {k}, got {message.shape}")
+        check_bits(message, "message bits")
+        message = message.astype(np.uint8)
+        # A wrapped integer sum keeps its parity.
+        syndrome = (self.h[:, :k] @ message) & 1
+        parity = np.bitwise_xor.accumulate(syndrome).astype(np.uint8)
+        return np.concatenate((message, parity))
 
 
-class RankDeficientError(ValueError):
-    pass
-
-
-def _fill_parity_matrix(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    h = np.zeros((m, n), dtype=np.uint8)
+def _fill_message_columns(h: np.ndarray, k: int, rng: np.random.Generator) -> None:
+    """Place ``_COL_WEIGHT`` ones in each of the first k columns of h, whose
+    other columns hold the accumulator."""
+    m = h.shape[0]
     row_weights = np.zeros(m, dtype=np.int64)
-    used_pairs: set[tuple[int, int]] = set()
-    for col in range(n):
+    # Each accumulator column joins two adjacent checks.
+    used_pairs: set[tuple[int, int]] = {(r, r + 1) for r in range(m - 1)}
+    for col in range(k):
         placed: np.ndarray | None = None
         rows = None
         for attempt in range(200):
@@ -141,48 +175,16 @@ def _fill_parity_matrix(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
             placed = rows
         h[placed, col] = 1
         row_weights[placed] += 1
-    return h
-
-
-def _systematic_generator(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GF(2) row reduction with column pivoting; raises if h is rank deficient."""
-    m, n = h.shape
-    work = h.copy()
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        hot = np.nonzero(work[row:, col])[0]
-        if hot.size == 0:
-            continue
-        pivot = row + int(hot[0])
-        if pivot != row:
-            work[[row, pivot]] = work[[pivot, row]]
-        others = np.nonzero(work[:, col])[0]
-        others = others[others != row]
-        work[others] ^= work[row]
-        pivot_cols.append(col)
-        row += 1
-    if row < m:
-        raise RankDeficientError(f"parity matrix rank {row} < {m}")
-    piv = np.asarray(pivot_cols, dtype=np.intp)
-    msg = np.delete(np.arange(n), piv)
-    k = msg.shape[0]
-    gen = np.zeros((k, n), dtype=np.uint8)
-    gen[np.arange(k), msg] = 1
-    gen[:, piv] = work[:, msg].T
-    return gen, msg
 
 
 def build_ldpc(n: int, rate: float, seed: int = 0) -> LdpcCode:
-    """Random column-weight-3 code of length n at (nearly) the given rate.
+    """Random code of length n at (nearly) the given rate, with m =
+    round(n (1 - rate)) checks: column weight 3 over the n - m message
+    columns, then the m x m accumulator.
 
-    A build holds four dense arrays at once: the (m, n) parity matrix and
-    its elimination copy, and the (n - m, n) generator in uint8 and in
-    float64. A length whose arrays would take more than
-    ``mimo._MAX_MATRIX_BYTES`` (1 GiB) is refused before any is allocated;
-    at rate 1/2 that allows n up to about 14,000.
+    The same seed gives the same ``h``. A code whose (m, n) uint8 ``h``
+    would take more than ``mimo._MAX_MATRIX_BYTES`` (1 GiB) is refused
+    before it is allocated; at rate 1/2 that allows n up to about 46,000.
     """
     check_integer(n, "n")
     n = int(n)  # a numpy integer would overflow in the byte count below
@@ -195,24 +197,17 @@ def build_ldpc(n: int, rate: float, seed: int = 0) -> LdpcCode:
     achieved = (n - m) / n
     if abs(achieved - rate) > 1.0 / n:
         raise ValueError(f"achievable rate {achieved} is off the request by > 1/{n}")
-    need = n * (2 * m + 9 * (n - m))
-    if need > _MAX_MATRIX_BYTES:
+    if m * n > _MAX_MATRIX_BYTES:
         raise ValueError(
-            f"a length-{n} code with {m} checks needs {need} bytes of dense arrays, "
-            f"over the {_MAX_MATRIX_BYTES}-byte budget"
+            f"a length-{n} code with {m} checks needs {m * n} bytes for its parity-check "
+            f"matrix, over the {_MAX_MATRIX_BYTES}-byte budget"
         )
-    last_error: Exception | None = None
-    for attempt in range(10):
-        rng = np.random.default_rng([seed, attempt])
-        h = _fill_parity_matrix(n, m, rng)
-        if int(h.sum(axis=1).min()) < 2:
-            last_error = ValueError("a check row ended up with weight < 2")
-            continue
-        try:
-            return LdpcCode(h)
-        except RankDeficientError as exc:
-            last_error = exc
-    raise ValueError(f"no usable parity matrix after 10 attempts: {last_error}")
+    k = n - m
+    h = np.zeros((m, n), dtype=np.uint8)
+    rows, cols = _accumulator_edges(m)
+    h[rows, k + cols] = 1
+    _fill_message_columns(h, k, np.random.default_rng(seed))
+    return LdpcCode(h)
 
 
 @dataclass(frozen=True)
@@ -264,6 +259,10 @@ def bp_decode_batch(code: LdpcCode, llrs: np.ndarray) -> BpBatchResult:
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.n:
         raise ValueError(f"need (frames, {code.n}) LLRs, got {llrs.shape}")
+    # A NaN compares false everywhere: it would decode to bit 0 with a
+    # nonzero belief and converge at once. +/-inf is clipped to +/-LLR_CLIP.
+    if np.isnan(llrs).any():
+        raise ValueError("LLRs must not be NaN")
     n = code.n
     n_edges = code._edge_check.shape[0]
     chk = code._edge_check

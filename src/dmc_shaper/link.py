@@ -17,7 +17,7 @@ from scipy.special import logsumexp
 
 from .channel import DmcChannel, SubsetMask, check_integer, check_seed
 # bp_decode stays importable from here: perfbench/spans.py traces it by this name.
-from .ldpc import LLR_CLIP, bp_decode, bp_decode_batch, build_ldpc  # noqa: F401
+from .ldpc import LLR_CLIP, bp_decode, bp_decode_batch, build_ldpc, check_bits  # noqa: F401
 from .mimo import (
     ComplexChannelMatrix,
     SnrPoint,
@@ -80,8 +80,7 @@ def map_bits(codebits: np.ndarray, lab: SymbolLabeling) -> tuple[np.ndarray, int
     Returns (global input indices, number of zero pad bits appended).
     """
     raw = np.asarray(codebits).ravel()
-    if not np.isin(raw, (0, 1)).all():
-        raise ValueError("code bits must be 0 or 1")
+    check_bits(raw, "code bits")
     bits = raw.astype(np.uint8)
     q = lab.bits_per_symbol
     n_pad = (-bits.shape[0]) % q
@@ -220,7 +219,7 @@ def run_coded_ber(
                     y = sample_receive_many(h, table[symbols], snr, rng)
                     llrs[i] = llr_table[y].ravel()[: code.n]
                 decoded = bp_decode_batch(code, llrs)
-                errs = (decoded.bits[:, code.message_positions] != messages).sum(axis=1)
+                errs = (decoded.bits[:, :k_msg] != messages).sum(axis=1)
                 bit_errors += int(errs.sum())
                 frame_errors += int(np.count_nonzero(errs))
                 frames += batch

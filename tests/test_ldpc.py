@@ -7,8 +7,12 @@ import itertools
 import numpy as np
 import pytest
 
-from dmc_shaper import LdpcCode, bp_decode, build_ldpc, ldpc
-from dmc_shaper.ldpc import BP_MAX_ITER, RankDeficientError, bp_decode_batch
+from dmc_shaper import LdpcCode, bp_decode, build_ldpc
+from dmc_shaper.ldpc import BP_MAX_ITER, bp_decode_batch
+
+
+def _satisfies(h, codewords):
+    return not ((codewords.astype(np.int64) @ h.T) & 1).any()
 
 
 class TestBuildLdpc:
@@ -19,14 +23,35 @@ class TestBuildLdpc:
         assert abs(code.rate - 0.5) <= 1 / 250
         assert code.message_length == 125
 
-    def test_generator_annihilates_parity(self):
-        code = build_ldpc(250, 0.5, seed=1)
-        prod = (code.generator.astype(np.int64) @ code.h.T) & 1
-        assert not prod.any()
+    @pytest.mark.parametrize(
+        "n, rate",
+        [(8, 0.5), (24, 0.5), (250, 0.5), (250, 0.3125), (250, 0.125), (2000, 0.5)],
+    )
+    def test_accumulator_code_properties(self, n, rate):
+        code = build_ldpc(n, rate, seed=1)
+        m, k = code.m_checks, code.message_length
+        assert k == n - m
+        rng = np.random.default_rng(n)
+        messages = rng.integers(0, 2, size=(20, k), dtype=np.uint8)
+        codewords = np.array([code.encode(msg) for msg in messages])
+        assert _satisfies(code.h, codewords)
+        np.testing.assert_array_equal(codewords[:, :k], messages)
+        np.testing.assert_array_equal(code.h[:, :k].sum(axis=0), 3)
+        accumulator = np.eye(m, dtype=np.uint8) + np.eye(m, k=-1, dtype=np.uint8)
+        np.testing.assert_array_equal(code.h[:, k:], accumulator)
+        # No two columns, message or parity, share two checks. At n = 8 any
+        # two weight-3 columns over 4 checks share two: avoidance is best effort.
+        if n > 8:
+            h = code.h.astype(np.float64)
+            overlap = h.T @ h
+            np.fill_diagonal(overlap, 0)
+            assert overlap.max() <= 1
 
     def test_column_weights_regular(self):
         code = build_ldpc(250, 0.5, seed=2)
-        np.testing.assert_array_equal(code.h.sum(axis=0), 3)
+        # Weight 3 on the message columns; the accumulator's are 2, then 1.
+        want = np.r_[np.full(125, 3), np.full(124, 2), 1]
+        np.testing.assert_array_equal(code.h.sum(axis=0), want)
 
     def test_row_weights_near_uniform(self):
         code = build_ldpc(250, 0.5, seed=3)
@@ -49,21 +74,19 @@ class TestBuildLdpc:
     def test_toy_code_all_codewords_valid(self):
         code = build_ldpc(8, 0.5, seed=6)
         for bits in itertools.product([0, 1], repeat=code.message_length):
-            c = code.encode(np.array(bits, dtype=np.uint8))
-            assert not ((code.h.astype(np.int64) @ c) & 1).any()
+            assert _satisfies(code.h, code.encode(np.array(bits, dtype=np.uint8)))
 
     def test_encode_round_trips_message(self):
         code = build_ldpc(30, 0.5, seed=7)
         rng = np.random.default_rng(0)
         msg = rng.integers(0, 2, size=code.message_length, dtype=np.uint8)
         c = code.encode(msg)
-        np.testing.assert_array_equal(c[code.message_positions], msg)
+        np.testing.assert_array_equal(c[: code.message_length], msg)
 
     def test_determinism(self):
         a = build_ldpc(100, 0.5, seed=11)
         b = build_ldpc(100, 0.5, seed=11)
         np.testing.assert_array_equal(a.h, b.h)
-        np.testing.assert_array_equal(a.generator, b.generator)
 
     def test_equality_follows_parity_matrix(self):
         a = build_ldpc(24, 0.5, seed=0)
@@ -88,7 +111,7 @@ class TestBuildLdpc:
             # At this length the float rounding of n (1 - rate) alone is
             # more than 1/n; the check fires before any matrix is built.
             (10**17, 0.3, "off the request"),
-            # Dense arrays of about 4e32 bytes: refused before any is allocated.
+            # A parity-check matrix of about 2e31 bytes: refused before it is allocated.
             (10**16, 0.3, "byte budget"),
             (np.int64(10**16), 0.3, "byte budget"),
             (24.0, 0.5, "n must be an integer"),
@@ -110,36 +133,32 @@ class TestBuildLdpc:
     def test_numpy_integer_seed_accepted(self):
         assert build_ldpc(24, 0.5, seed=np.int64(3)) == build_ldpc(24, 0.5, seed=3)
 
-    def test_light_check_row_redrawn(self, monkeypatch):
-        # A first draw with a check row of weight 1 is discarded, and the
-        # code of the second attempt's stream is returned.
-        fill = ldpc._fill_parity_matrix
-        draws = []
-
-        def light_first_draw(n, m, rng):
-            h = fill(n, m, rng)
-            if not draws:
-                h[0] = 0
-                h[0, 0] = 1
-            draws.append(h)
-            return h
-
-        monkeypatch.setattr(ldpc, "_fill_parity_matrix", light_first_draw)
-        code = build_ldpc(24, 0.5, seed=0)
-        assert len(draws) == 2
-        assert code == LdpcCode(fill(24, 12, np.random.default_rng([0, 1])))
-
     def test_encode_wrong_length_rejected(self):
         code = build_ldpc(24, 0.5, seed=0)
         with pytest.raises(ValueError):
             code.encode(np.zeros(code.message_length + 1, dtype=np.uint8))
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.7, np.nan], ids=["two", "minus-one", "fraction", "nan"])
+    def test_encode_non_binary_message_rejected(self, bad):
+        code = build_ldpc(24, 0.5, seed=0)
+        msg = np.zeros(code.message_length)
+        msg[3] = bad
+        with pytest.raises(ValueError, match="message bits must be 0 or 1"):
+            code.encode(msg)
+
+    def test_encode_accepts_bool_and_float_bits(self):
+        code = build_ldpc(24, 0.5, seed=0)
+        msg = np.arange(code.message_length) % 3 == 0
+        want = code.encode(msg.astype(np.uint8))
+        np.testing.assert_array_equal(code.encode(msg), want)
+        np.testing.assert_array_equal(code.encode(msg.astype(np.float64)), want)
+
     @pytest.mark.parametrize(
         "h, match",
         [
-            ([[1, 1, 0], [0, 0, 0], [0, 1, 1]], "check rows \\[1\\]"),
-            ([[1, 1, 0], [0, 1, 1], [0, 0, 0]], "check rows \\[2\\]"),
-            ([[1, 0, 0], [1, 0, 1]], "variable columns \\[1\\]"),
+            ([[1, 1, 0, 0], [0, 0, 0, 0]], "must be the accumulator"),
+            ([[1, 1, 0, 0], [0, 1, 0, 0]], "must be the accumulator"),
+            ([[1, 0, 1, 0], [1, 0, 1, 1]], "variable columns \\[1\\]"),
         ],
         ids=["empty-middle-row", "empty-last-row", "empty-column"],
     )
@@ -148,22 +167,42 @@ class TestBuildLdpc:
         with pytest.raises(ValueError, match=match):
             LdpcCode(h=h)
 
-    def test_hand_built_code_derives_its_encoder(self):
-        h = np.array([[1, 1, 0, 1], [0, 1, 1, 1]], dtype=np.uint8)
-        code = LdpcCode(h)
-        assert code.message_length == 2 and code.rate == 0.5
-        assert not ((code.generator.astype(np.int64) @ h.T) & 1).any()
-        np.testing.assert_array_equal(code.generator[:, code.message_positions], np.eye(2))
+    @pytest.mark.parametrize(
+        "h",
+        [
+            [[1, 1, 1], [1, 0, 1]],  # upper, not lower, bidiagonal
+            [[1, 1, 0, 1], [1, 0, 1, 1]],  # a 1 above the diagonal
+            [[1, 1, 0], [1, 1, 0], [1, 0, 1]],  # as many checks as bits
+        ],
+        ids=["upper-bidiagonal", "extra-one", "square"],
+    )
+    def test_parity_part_not_accumulator_rejected(self, h):
+        with pytest.raises(ValueError, match="accumulator|fewer rows than columns"):
+            LdpcCode(np.array(h, dtype=np.uint8))
 
-    def test_rank_deficient_parity_matrix_rejected(self):
-        h = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
-        with pytest.raises(RankDeficientError, match="rank 2 < 3"):
+    @pytest.mark.parametrize(
+        "h, match",
+        [
+            (np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]), "integer array"),
+            (np.array([[True, True, False], [True, True, True]]), "integer array"),
+            (np.array([1, 1, 0]), "2-D"),
+            ([[1, 1, 0], [1, 1, 1]], "integer array"),
+            (np.array([[2, 1, 0], [1, 1, 1]]), "entries of h must be 0 or 1"),
+            (np.array([[1, 1, 0], [-1, 1, 1]]), "entries of h must be 0 or 1"),
+        ],
+        ids=["float", "bool", "one-dimensional", "list", "two", "minus-one"],
+    )
+    def test_malformed_parity_matrix_rejected(self, h, match):
+        with pytest.raises(ValueError, match=match):
             LdpcCode(h)
 
-    def test_degenerate_construction_fails_after_retries(self):
-        # Three checks and weight-3 columns force identical rows: rank 1 < 3.
-        with pytest.raises(ValueError, match="10 attempts"):
-            build_ldpc(6, 0.5, seed=0)
+    def test_hand_built_code_derives_its_encoder(self):
+        # H1 = [[1, 1], [0, 1]] beside the 2 x 2 accumulator.
+        h = np.array([[1, 1, 1, 0], [0, 1, 1, 1]], dtype=np.uint8)
+        code = LdpcCode(h)
+        assert code.message_length == 2 and code.rate == 0.5
+        codewords = {tuple(code.encode(np.array(u))) for u in itertools.product([0, 1], repeat=2)}
+        assert codewords == {(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1)}
 
 
 class TestBpDecode:
@@ -248,3 +287,20 @@ class TestBpDecode:
             bp_decode(code, np.zeros(10))
         with pytest.raises(ValueError):
             bp_decode_batch(code, np.zeros(code.n))
+
+    def test_nan_llrs_rejected(self):
+        code = build_ldpc(24, 0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            bp_decode(code, np.full(24, np.nan))
+        llrs = np.full((3, 24), 4.0)
+        llrs[1, 5] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            bp_decode_batch(code, llrs)
+
+    def test_infinite_llrs_clipped(self):
+        code = build_ldpc(24, 0.5)
+        c = code.encode(np.arange(code.message_length) % 2)
+        llrs = np.where(c == 1, np.inf, -np.inf)
+        res = bp_decode(code, llrs)
+        assert res.converged and res.iterations == 1
+        np.testing.assert_array_equal(res.bits, c)

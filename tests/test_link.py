@@ -409,7 +409,7 @@ class TestRunCodedBer:
                     y = sample_receive_many(h, table[symbols], snr, rng)
                     llrs = compute_llrs_block(ch, lab, y).ravel()[: code.n]
                     decoded = bp_decode(code, llrs)
-                    errs = int((decoded.bits[code.message_positions] != message).sum())
+                    errs = int((decoded.bits[: code.message_length] != message).sum())
                     bit_errors += errs
                     frame_errors += int(errs > 0)
                     frames += 1
