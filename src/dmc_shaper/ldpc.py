@@ -87,6 +87,7 @@ class LdpcCode:
                 f"the last {self.m_checks} columns of h must be the accumulator: "
                 "ones on the diagonal and just below it, zeros elsewhere"
             )
+        counts = np.bincount(chk, minlength=self.m_checks)
         col_counts = np.bincount(var, minlength=self.n)
         # A variable without edges is never checked: reject such a matrix
         # here rather than decode with it. T gives every check an edge.
@@ -94,7 +95,6 @@ class LdpcCode:
             raise ValueError(
                 f"variable columns {np.flatnonzero(col_counts == 0).tolist()} have no edges"
             )
-        counts = np.bincount(chk, minlength=self.m_checks)
         n_edges = chk.shape[0]
         edges = np.arange(n_edges)
         slot = edges - (np.cumsum(counts) - counts)[chk]

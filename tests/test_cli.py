@@ -475,7 +475,7 @@ class TestCodedBer:
         assert err == "error: --seed must be non-negative, got -1\n"
 
     def test_code_length_over_budget_rejected(self, capsys, h_file):
-        # Length 200,000 at rate 1/2 would need about 2.2e11 bytes of dense arrays.
+        # Length 200,000 at rate 1/2 would need 2e10 bytes for its parity-check matrix.
         code, out, err = run_cli(
             capsys, "coded-ber", "--h-matrix", h_file, "--mask", "full",
             "--snr-db", "10", "--n", "200000", "--total-rate", "2.0",

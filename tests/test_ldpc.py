@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dmc_shaper import LdpcCode, bp_decode, build_ldpc
+from dmc_shaper import LdpcCode, bp_decode, build_ldpc, ldpc
 from dmc_shaper.ldpc import BP_MAX_ITER, bp_decode_batch
 
 
@@ -111,7 +111,7 @@ class TestBuildLdpc:
             # At this length the float rounding of n (1 - rate) alone is
             # more than 1/n; the check fires before any matrix is built.
             (10**17, 0.3, "off the request"),
-            # A parity-check matrix of about 2e31 bytes: refused before it is allocated.
+            # A parity-check matrix of about 7e31 bytes: refused before it is allocated.
             (10**16, 0.3, "byte budget"),
             (np.int64(10**16), 0.3, "byte budget"),
             (24.0, 0.5, "n must be an integer"),
@@ -124,6 +124,14 @@ class TestBuildLdpc:
     def test_unbuildable_request_rejected(self, n, rate, match):
         with pytest.raises(ValueError, match=match):
             build_ldpc(n, rate)
+
+    def test_budget_counts_the_parity_check_matrix(self, monkeypatch):
+        # 50 checks x 100 bits: 5,000 bytes of uint8 h.
+        monkeypatch.setattr(ldpc, "_MAX_MATRIX_BYTES", 5000)
+        assert build_ldpc(100, 0.5).h.nbytes == 5000
+        monkeypatch.setattr(ldpc, "_MAX_MATRIX_BYTES", 4999)
+        with pytest.raises(ValueError, match="needs 5000 bytes .* over the 4999-byte budget"):
+            build_ldpc(100, 0.5)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
     def test_bad_seed_rejected(self, seed):
@@ -156,8 +164,8 @@ class TestBuildLdpc:
     @pytest.mark.parametrize(
         "h, match",
         [
-            ([[1, 1, 0, 0], [0, 0, 0, 0]], "must be the accumulator"),
-            ([[1, 1, 0, 0], [0, 1, 0, 0]], "must be the accumulator"),
+            ([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]], "must be the accumulator"),
+            ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 0]], "must be the accumulator"),
             ([[1, 0, 1, 0], [1, 0, 1, 1]], "variable columns \\[1\\]"),
         ],
         ids=["empty-middle-row", "empty-last-row", "empty-column"],
@@ -172,12 +180,11 @@ class TestBuildLdpc:
         [
             [[1, 1, 1], [1, 0, 1]],  # upper, not lower, bidiagonal
             [[1, 1, 0, 1], [1, 0, 1, 1]],  # a 1 above the diagonal
-            [[1, 1, 0], [1, 1, 0], [1, 0, 1]],  # as many checks as bits
         ],
-        ids=["upper-bidiagonal", "extra-one", "square"],
+        ids=["upper-bidiagonal", "extra-one"],
     )
     def test_parity_part_not_accumulator_rejected(self, h):
-        with pytest.raises(ValueError, match="accumulator|fewer rows than columns"):
+        with pytest.raises(ValueError, match="must be the accumulator"):
             LdpcCode(np.array(h, dtype=np.uint8))
 
     @pytest.mark.parametrize(
@@ -186,11 +193,12 @@ class TestBuildLdpc:
             (np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]), "integer array"),
             (np.array([[True, True, False], [True, True, True]]), "integer array"),
             (np.array([1, 1, 0]), "2-D"),
+            (np.array([[1, 1, 0], [1, 1, 0], [1, 0, 1]]), "fewer rows than columns"),
             ([[1, 1, 0], [1, 1, 1]], "integer array"),
             (np.array([[2, 1, 0], [1, 1, 1]]), "entries of h must be 0 or 1"),
             (np.array([[1, 1, 0], [-1, 1, 1]]), "entries of h must be 0 or 1"),
         ],
-        ids=["float", "bool", "one-dimensional", "list", "two", "minus-one"],
+        ids=["float", "bool", "one-dimensional", "square", "list", "two", "minus-one"],
     )
     def test_malformed_parity_matrix_rejected(self, h, match):
         with pytest.raises(ValueError, match=match):
