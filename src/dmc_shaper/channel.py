@@ -21,6 +21,9 @@ ZERO_FLOOR = 1e-300
 ROW_SUM_TOL = 1e-9
 # Looser tolerance accepted by the JSON loader before exact renormalization.
 LOADER_ROW_SUM_TOL = 1e-6
+# Largest array set a builder may ask for (1 GiB), checked by ``check_bytes``
+# before anything is allocated: a T=N=8 channel would need 34 GB per matrix.
+_MAX_MATRIX_BYTES = 1 << 30
 
 
 def _floor_zeros(p: np.ndarray) -> np.ndarray:
@@ -152,6 +155,15 @@ def check_seed(seed, name: str) -> None:
     check_integer(seed, name)
     if seed < 0:
         raise ValueError(f"{name} must be non-negative, got {seed}")
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """The one memory guard, called before allocating: raise ValueError
+    when ``what`` needs more than ``_MAX_MATRIX_BYTES`` (1 GiB)."""
+    if nbytes > _MAX_MATRIX_BYTES:
+        raise ValueError(
+            f"{what} needs {nbytes} bytes of memory, over the {_MAX_MATRIX_BYTES}-byte budget"
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,9 @@ below it), the structure of IRA codes (Jin, Khandekar & McEliece 2000) and
 of the IEEE 802.11n and DVB-S2 codes. T has full rank, so every H has, and
 a codeword is the message followed by the parity bits p with p_0 = s_0 and
 p_i = p_(i-1) xor s_i, where s = H1 u mod 2 for the message u.
+``LdpcCode`` turns H once into slot tables that list each check's and each
+variable's edges; the encoder's syndrome, BP's messages and BP's parity
+test all read the code from them, so each costs time linear in the edges.
 ``build_ldpc`` fills H1 column by column with column weight 3, drawing from
 the currently lightest check rows and rejecting (up to a retry limit)
 placements that would close a length-4 cycle, with T's edges included.
@@ -18,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import check_integer, check_seed
-from .mimo import _MAX_MATRIX_BYTES
+from .channel import check_bytes, check_integer, check_seed
 
 LLR_CLIP = 40.0
 # tanh(LLR_CLIP / 2) rounds to 1.0; clip inside the open interval instead.
@@ -44,6 +46,18 @@ def _accumulator_edges(m: int) -> tuple[np.ndarray, np.ndarray]:
     return twice[1:], twice[:-1]
 
 
+def _slot_table(owner: np.ndarray, size: int) -> np.ndarray:
+    """(most edges of one owner, size) table whose column j lists, in edge
+    order, the edges of owner j, padded with the edge count."""
+    counts = np.bincount(owner, minlength=size)
+    order = np.argsort(owner, kind="stable")
+    by_owner = owner[order]
+    slot = np.arange(owner.shape[0]) - (np.cumsum(counts) - counts)[by_owner]
+    table = np.full((counts.max(), size), owner.shape[0])
+    table[slot, by_owner] = order
+    return table
+
+
 @dataclass(eq=False)
 class LdpcCode:
     """Parity-check matrix ``h`` = [H1 | T] of a code with an accumulator
@@ -57,10 +71,10 @@ class LdpcCode:
 
     h: np.ndarray
 
-    # Edge structure for message passing, derived once. Edges are numbered
-    # in row-major order of h. Slot tables list, per check or per variable,
-    # its edges (or variables) in that order, one slot per row of the table,
-    # padded with the index one past the end.
+    # Edge structure for encoding and decoding, derived once. Edges are
+    # numbered in row-major order of h. Slot tables list, per check or per
+    # variable, its edges (or variables) in that order, one slot per row of
+    # the table, padded with the index one past the end.
     _edge_check: np.ndarray = field(init=False, repr=False)
     _edge_var: np.ndarray = field(init=False, repr=False)
     _row_edges: np.ndarray = field(init=False, repr=False)  # (max row weight, m)
@@ -87,26 +101,14 @@ class LdpcCode:
                 f"the last {self.m_checks} columns of h must be the accumulator: "
                 "ones on the diagonal and just below it, zeros elsewhere"
             )
-        counts = np.bincount(chk, minlength=self.m_checks)
-        col_counts = np.bincount(var, minlength=self.n)
         # A variable without edges is never checked: reject such a matrix
         # here rather than decode with it. T gives every check an edge.
-        if not col_counts.all():
-            raise ValueError(
-                f"variable columns {np.flatnonzero(col_counts == 0).tolist()} have no edges"
-            )
-        n_edges = chk.shape[0]
-        edges = np.arange(n_edges)
-        slot = edges - (np.cumsum(counts) - counts)[chk]
-        self._row_edges = np.full((counts.max(), self.m_checks), n_edges)
-        self._row_edges[slot, chk] = edges
-        self._row_vars = np.full(self._row_edges.shape, self.n)
-        self._row_vars[slot, chk] = var
-        col_order = np.lexsort((chk, var))
-        by_col = var[col_order]
-        slot = edges - (np.cumsum(col_counts) - col_counts)[by_col]
-        self._col_edges = np.full((col_counts.max(), self.n), n_edges)
-        self._col_edges[slot, by_col] = col_order
+        bare = np.setdiff1d(np.arange(self.n), var)
+        if bare.size:
+            raise ValueError(f"variable columns {bare.tolist()} have no edges")
+        self._row_edges = _slot_table(chk, self.m_checks)
+        self._row_vars = np.append(var, self.n)[self._row_edges]
+        self._col_edges = _slot_table(var, self.n)
         self._edge_check = chk
         self._edge_var = var
 
@@ -130,17 +132,25 @@ class LdpcCode:
         return self.message_length / self.n
 
     def encode(self, message: np.ndarray) -> np.ndarray:
-        """The codeword of a 0/1 message: the message, then its parity bits."""
+        """Codewords of 0/1 messages along the last axis: (..., k) messages
+        give (..., n) uint8 codewords, each its message, then its parity bits.
+
+        Each check's syndrome bit is the XOR of the word bits its
+        ``_row_vars`` slots list, read from the message followed by zeros
+        (parity and pad slots read 0); the parity bits are their running
+        XOR. A 0-d message, a last axis other than k and an entry other than
+        0 or 1 are refused with ``ValueError``.
+        """
         message = np.asarray(message)
         k = self.message_length
-        if message.shape != (k,):
+        if message.ndim == 0 or message.shape[-1] != k:
             raise ValueError(f"message must have length {k}, got {message.shape}")
         check_bits(message, "message bits")
-        message = message.astype(np.uint8)
-        # A wrapped integer sum keeps its parity.
-        syndrome = (self.h[:, :k] @ message) & 1
-        parity = np.bitwise_xor.accumulate(syndrome).astype(np.uint8)
-        return np.concatenate((message, parity))
+        word = np.zeros(message.shape[:-1] + (self.n + 1,), dtype=np.uint8)
+        word[..., :k] = message
+        syndrome = np.bitwise_xor.reduce(word[..., self._row_vars], axis=-2)
+        word[..., k:-1] = np.bitwise_xor.accumulate(syndrome, axis=-1)
+        return word[..., :-1]
 
 
 def _fill_message_columns(h: np.ndarray, k: int, rng: np.random.Generator) -> None:
@@ -183,7 +193,7 @@ def build_ldpc(n: int, rate: float, seed: int = 0) -> LdpcCode:
     columns, then the m x m accumulator.
 
     The same seed gives the same ``h``. A code whose (m, n) uint8 ``h``
-    would take more than ``mimo._MAX_MATRIX_BYTES`` (1 GiB) is refused
+    would take more than the 1 GiB of ``channel.check_bytes`` is refused
     before it is allocated; at rate 1/2 that allows n up to about 46,000.
     """
     check_integer(n, "n")
@@ -197,11 +207,7 @@ def build_ldpc(n: int, rate: float, seed: int = 0) -> LdpcCode:
     achieved = (n - m) / n
     if abs(achieved - rate) > 1.0 / n:
         raise ValueError(f"achievable rate {achieved} is off the request by > 1/{n}")
-    if m * n > _MAX_MATRIX_BYTES:
-        raise ValueError(
-            f"a length-{n} code with {m} checks needs {m * n} bytes for its parity-check "
-            f"matrix, over the {_MAX_MATRIX_BYTES}-byte budget"
-        )
+    check_bytes(m * n, f"the parity-check matrix of a length-{n} code with {m} checks")
     k = n - m
     h = np.zeros((m, n), dtype=np.uint8)
     rows, cols = _accumulator_edges(m)

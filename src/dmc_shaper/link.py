@@ -75,18 +75,22 @@ class SymbolLabeling:
 
 
 def map_bits(codebits: np.ndarray, lab: SymbolLabeling) -> tuple[np.ndarray, int]:
-    """Map a bit vector onto channel input indices, log2(K) bits per use.
+    """Map code bits along the last axis onto channel input indices, log2(K)
+    bits per use: (..., n) 0/1 bits give (..., ceil(n / log2(K))) inputs.
 
-    Returns (global input indices, number of zero pad bits appended).
+    Each row is padded with zero bits on its own. Returns (global input
+    indices, number of pad bits per row). A 0-d input has no last axis and is
+    refused with ``ValueError``, as is an entry other than 0 or 1.
     """
-    raw = np.asarray(codebits).ravel()
-    check_bits(raw, "code bits")
-    bits = raw.astype(np.uint8)
+    bits = np.asarray(codebits)
+    if bits.ndim == 0:
+        raise ValueError("code bits must have a last axis, got a 0-d array")
+    check_bits(bits, "code bits")
     q = lab.bits_per_symbol
-    n_pad = (-bits.shape[0]) % q
-    if n_pad:
-        bits = np.concatenate((bits, np.zeros(n_pad, dtype=np.uint8)))
-    groups = bits.reshape(-1, q)
+    n_pad = (-bits.shape[-1]) % q
+    padded = np.zeros(bits.shape[:-1] + (bits.shape[-1] + n_pad,), dtype=np.uint8)
+    padded[..., : bits.shape[-1]] = bits
+    groups = padded.reshape(padded.shape[:-1] + (-1, q))
     ranks = groups @ (1 << np.arange(q - 1, -1, -1))
     return lab.selected[ranks], n_pad
 
@@ -159,8 +163,10 @@ def run_coded_ber(
     """Coded BER sweep: one record per SNR point, in ``snr_db_list`` order,
     holding the counts of every seed in ``seeds`` summed.
 
-    Per frame: encode a random message, map code bits onto selected inputs,
-    draw the quantized outputs, look up their LLRs, and decode. LLRs depend
+    Each frame draws a random message and then the channel noise from its
+    own generator; only those draws stay per frame. Each batch of frames is
+    encoded and mapped onto the selected inputs at once, its quantized
+    outputs are looked up in the LLR table, and it is decoded. LLRs depend
     only on the point and the received output, so each point computes one
     table over all outputs with ``compute_llrs_block``, shared by every seed;
     log-sum-exp works row by row, so its entries equal the per-frame values
@@ -210,14 +216,13 @@ def run_coded_ber(
             frames = 0
             while frames < max_frames and frame_errors < min_frame_errors:
                 batch = min(max_frames - frames, min_frame_errors - frame_errors, _FRAME_BATCH)
-                messages = np.empty((batch, k_msg), dtype=np.uint8)
-                llrs = np.empty((batch, code.n))
-                for i in range(batch):
-                    rng = np.random.default_rng([seed, frames + i])
-                    messages[i] = rng.integers(0, 2, size=k_msg, dtype=np.uint8)
-                    symbols, _ = map_bits(code.encode(messages[i]), lab)
-                    y = sample_receive_many(h, table[symbols], snr, rng)
-                    llrs[i] = llr_table[y].ravel()[: code.n]
+                rngs = [np.random.default_rng([seed, frames + i]) for i in range(batch)]
+                messages = np.array([r.integers(0, 2, size=k_msg, dtype=np.uint8) for r in rngs])
+                symbols, _ = map_bits(code.encode(messages), lab)
+                y = np.array(
+                    [sample_receive_many(h, table[s], snr, r) for s, r in zip(symbols, rngs)]
+                )
+                llrs = llr_table[y].reshape(batch, -1)[:, : code.n]
                 decoded = bp_decode_batch(code, llrs)
                 errs = (decoded.bits[:, :k_msg] != messages).sum(axis=1)
                 bit_errors += int(errs.sum())

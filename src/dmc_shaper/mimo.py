@@ -20,16 +20,11 @@ from pathlib import Path
 import numpy as np
 from scipy.special import log_ndtr
 
-from .channel import DmcChannel, _freeze
+from .channel import DmcChannel, _freeze, check_bytes
 
 # Digit d of a base-4 input index selects the QPSK point, antenna 1 most
 # significant: 0 -> +1+1j, 1 -> +1-1j, 2 -> -1+1j, 3 -> -1-1j (pre-scaling).
 QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128)
-
-# Largest float64 M x L transition matrix plus (L, 2N) sign table a build may
-# ask for (1 GiB); it holds a few arrays of each size at once. This is the one
-# memory guard: a T=N=8 build would need 34 GB per matrix.
-_MAX_MATRIX_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -150,16 +145,15 @@ def build_quantized_mimo(h: ComplexChannelMatrix, snr: SnrPoint) -> DmcChannel:
     P(y|x) is the product over receiver components of Phi(sqrt(2*snr) * s * g)
     with s the component's sign under y and g the noiseless component of H x.
     Computed in the log domain so high-SNR rows stay normalized. Refused
-    before any allocation when the matrix and its sign table would exceed
-    ``_MAX_MATRIX_BYTES``.
+    by ``channel.check_bytes`` before any allocation when the float64 matrix
+    and its sign table would exceed the byte budget; the build holds a few
+    arrays of each size at once.
     """
     t, n = h.n_tx, h.n_rx
     m, l = 4**t, 4**n
-    if (m + 2 * n) * l * 8 > _MAX_MATRIX_BYTES:
-        raise ValueError(
-            f"a {m}x{l} transition matrix and its {l}x{2 * n} sign table need "
-            f"{(m + 2 * n) * l * 8} bytes, over the {_MAX_MATRIX_BYTES}-byte budget"
-        )
+    check_bytes(
+        (m + 2 * n) * l * 8, f"a {m}x{l} transition matrix with its {l}x{2 * n} sign table"
+    )
     xs = enumerate_qpsk_inputs(t)
     comp = _signed_components(h, xs)  # (M, 2N)
     args = np.sqrt(2.0 * snr.ptr_over_sigma2) * comp

@@ -3,16 +3,34 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from dmc_shaper import LdpcCode, bp_decode, build_ldpc, ldpc
+from dmc_shaper import LdpcCode, bp_decode, build_ldpc, channel
 from dmc_shaper.ldpc import BP_MAX_ITER, bp_decode_batch
 
 
 def _satisfies(h, codewords):
     return not ((codewords.astype(np.int64) @ h.T) & 1).any()
+
+
+# (n, rate) of the built codes the encoder and the slot tables are checked on.
+CODE_GRID = [(8, 0.5), (24, 0.5), (250, 0.5), (250, 0.3125), (250, 0.125), (2000, 0.5)]
+
+# Hand-built codes: H1 beside the accumulator, including a weight-0 H1 row.
+HAND_BUILT = [
+    [[1, 1, 1, 0], [0, 1, 1, 1]],
+    [[1, 0, 1, 1, 0, 0], [1, 1, 0, 1, 1, 0], [0, 1, 0, 0, 1, 1]],
+    [[1, 1, 1, 0, 0], [0, 0, 1, 1, 0], [1, 0, 0, 1, 1]],
+]
+
+
+def _padded_listing(groups, pad):
+    """Slot table of a plain listing: column j holds groups[j], then pads."""
+    width = max(len(g) for g in groups)
+    return np.array([list(g) + [pad] * (width - len(g)) for g in groups]).T
 
 
 class TestBuildLdpc:
@@ -23,10 +41,7 @@ class TestBuildLdpc:
         assert abs(code.rate - 0.5) <= 1 / 250
         assert code.message_length == 125
 
-    @pytest.mark.parametrize(
-        "n, rate",
-        [(8, 0.5), (24, 0.5), (250, 0.5), (250, 0.3125), (250, 0.125), (2000, 0.5)],
-    )
+    @pytest.mark.parametrize("n, rate", CODE_GRID)
     def test_accumulator_code_properties(self, n, rate):
         code = build_ldpc(n, rate, seed=1)
         m, k = code.m_checks, code.message_length
@@ -127,9 +142,9 @@ class TestBuildLdpc:
 
     def test_budget_counts_the_parity_check_matrix(self, monkeypatch):
         # 50 checks x 100 bits: 5,000 bytes of uint8 h.
-        monkeypatch.setattr(ldpc, "_MAX_MATRIX_BYTES", 5000)
+        monkeypatch.setattr(channel, "_MAX_MATRIX_BYTES", 5000)
         assert build_ldpc(100, 0.5).h.nbytes == 5000
-        monkeypatch.setattr(ldpc, "_MAX_MATRIX_BYTES", 4999)
+        monkeypatch.setattr(channel, "_MAX_MATRIX_BYTES", 4999)
         with pytest.raises(ValueError, match="needs 5000 bytes .* over the 4999-byte budget"):
             build_ldpc(100, 0.5)
 
@@ -145,6 +160,45 @@ class TestBuildLdpc:
         code = build_ldpc(24, 0.5, seed=0)
         with pytest.raises(ValueError):
             code.encode(np.zeros(code.message_length + 1, dtype=np.uint8))
+
+    @pytest.mark.parametrize("n, rate", CODE_GRID)
+    def test_batch_encode_matches_stacked_encodes(self, n, rate):
+        code = build_ldpc(n, rate, seed=2)
+        k = code.message_length
+        messages = np.random.default_rng(n).integers(0, 2, size=(6, k), dtype=np.uint8)
+        want = np.array([code.encode(msg) for msg in messages])
+        assert want.shape == (6, n) and want.dtype == np.uint8
+        assert _satisfies(code.h, want)
+        np.testing.assert_array_equal(want[:, :k], messages)
+        got = code.encode(messages)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
+        stacked = code.encode(messages.reshape(2, 3, k))
+        np.testing.assert_array_equal(stacked, want.reshape(2, 3, n))
+        np.testing.assert_array_equal(code.encode(messages[:0]), want[:0])
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 13), (2, 3, 11), (12, 3)], ids=["batch-long", "stack-short", "transposed"]
+    )
+    def test_batch_encode_wrong_last_axis_rejected(self, shape):
+        code = build_ldpc(24, 0.5, seed=0)
+        want = re.escape(f"message must have length 12, got {shape}")
+        with pytest.raises(ValueError, match=want):
+            code.encode(np.zeros(shape, dtype=np.uint8))
+
+    def test_zero_d_message_rejected(self):
+        # A 0-d array has no last axis to hold a message, even for k = 1.
+        code = LdpcCode(np.array([[1, 1]], dtype=np.uint8))
+        assert code.message_length == 1
+        with pytest.raises(ValueError, match="message must have length 1, got \\(\\)"):
+            code.encode(np.array(1))
+
+    def test_batch_encode_non_binary_row_rejected(self):
+        code = build_ldpc(24, 0.5, seed=0)
+        messages = np.zeros((4, code.message_length))
+        messages[2, 5] = 2
+        with pytest.raises(ValueError, match="message bits must be 0 or 1"):
+            code.encode(messages)
 
     @pytest.mark.parametrize("bad", [2, -1, 0.7, np.nan], ids=["two", "minus-one", "fraction", "nan"])
     def test_encode_non_binary_message_rejected(self, bad):
@@ -203,6 +257,26 @@ class TestBuildLdpc:
     def test_malformed_parity_matrix_rejected(self, h, match):
         with pytest.raises(ValueError, match=match):
             LdpcCode(h)
+
+    @pytest.mark.parametrize(
+        "code",
+        [build_ldpc(n, rate, seed=3) for n, rate in CODE_GRID]
+        + [LdpcCode(np.array(h, dtype=np.uint8)) for h in HAND_BUILT],
+        ids=[f"n{n}-r{rate}" for n, rate in CODE_GRID]
+        + [f"hand-{i}" for i in range(len(HAND_BUILT))],
+    )
+    def test_slot_tables_list_the_entries_of_h(self, code):
+        chk, var = np.nonzero(code.h)
+        n_edges = chk.shape[0]
+        checks = range(code.m_checks)
+        row_edges = _padded_listing([np.flatnonzero(chk == c) for c in checks], n_edges)
+        row_vars = _padded_listing([var[chk == c] for c in checks], code.n)
+        col_edges = _padded_listing([np.flatnonzero(var == v) for v in range(code.n)], n_edges)
+        for got, want in [
+            (code._row_edges, row_edges), (code._row_vars, row_vars), (code._col_edges, col_edges)
+        ]:
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, want)
 
     def test_hand_built_code_derives_its_encoder(self):
         # H1 = [[1, 1], [0, 1]] beside the 2 x 2 accumulator.

@@ -129,6 +129,31 @@ class TestMapBits:
         with pytest.raises(ValueError, match="0 or 1"):
             map_bits(np.array([0, 2, 1, 1]), lab)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3)], ids=["batch", "stack"])
+    def test_rows_match_per_row_calls(self, shape):
+        # K = 256: 8 bits per use, so 250 code bits take 32 uses and 6 pad bits a row.
+        lab = SymbolLabeling.from_mask(SubsetMask.full(256))
+        bits = np.random.default_rng(9).integers(0, 2, size=shape + (250,), dtype=np.uint8)
+        indices, n_pad = map_bits(bits, lab)
+        assert indices.shape == shape + (32,) and n_pad == 6
+        rows = bits.reshape(-1, 250)
+        want = np.array([map_bits(row, lab)[0] for row in rows]).reshape(shape + (32,))
+        np.testing.assert_array_equal(indices, want)
+        # Each row is padded on its own: its last use carries its last 2 bits.
+        np.testing.assert_array_equal(indices[..., -1] >> 6, bits[..., -2] * 2 + bits[..., -1])
+
+    def test_zero_d_bits_rejected(self):
+        lab = SymbolLabeling.from_mask(SubsetMask.from_indices(8, [0, 1]))
+        with pytest.raises(ValueError, match="0-d"):
+            map_bits(np.array(1), lab)
+
+    def test_non_binary_bits_in_a_batch_rejected(self):
+        lab = SymbolLabeling.from_mask(SubsetMask.from_indices(8, range(8)))
+        bits = np.zeros((3, 6), dtype=np.int64)
+        bits[1, 4] = -1
+        with pytest.raises(ValueError, match="code bits must be 0 or 1"):
+            map_bits(bits, lab)
+
     def test_round_trip_with_unsorted_labeling(self):
         lab = SymbolLabeling(selected=np.array([6, 1, 4, 3]))
         bits = np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8)

@@ -16,7 +16,7 @@ from dmc_shaper import (
     load_h_matrix,
     sample_receive_many,
 )
-from dmc_shaper import mimo
+from dmc_shaper import channel
 from dmc_shaper.mimo import output_index_from_signs, qpsk_rotation
 
 
@@ -194,7 +194,7 @@ class TestBuildQuantizedMimo:
     def test_sign_table_counts_toward_byte_budget(self, monkeypatch):
         # T=1, N=7: the 4 x 16384 matrix takes 512 KiB, but the (16384, 14)
         # float64 sign table takes 1.75 MiB.
-        monkeypatch.setattr(mimo, "_MAX_MATRIX_BYTES", 1 << 20)
+        monkeypatch.setattr(channel, "_MAX_MATRIX_BYTES", 1 << 20)
         with pytest.raises(ValueError, match="sign table"):
             build_quantized_mimo(random_h(7, 1, seed=3), SnrPoint.from_db(0.0))
 
